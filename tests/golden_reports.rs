@@ -23,9 +23,22 @@ use detour::datasets::Scale;
 use detour_bench::experiments;
 use detour_bench::{Bundle, Study};
 
-/// The snapshotted experiments: one cheap table, one headline figure, and
-/// the fault sweep.
-const GOLDEN: &[&str] = &["table1", "fig1", "outage_sweep"];
+/// The snapshotted experiments: one cheap table, one headline figure, the
+/// fault sweep, and one report per per-pair field the analyses read —
+/// bandwidth/transfer summaries (`fig4`), raw RTT samples (`fig6`),
+/// time-of-day slices (`fig9`), episode slices (`fig11`), modal AS paths
+/// (`fig14`) and the samples' 10th percentile (`fig15`).
+const GOLDEN: &[&str] = &[
+    "table1",
+    "fig1",
+    "outage_sweep",
+    "fig4",
+    "fig6",
+    "fig9",
+    "fig11",
+    "fig14",
+    "fig15",
+];
 
 fn golden_path(id: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
