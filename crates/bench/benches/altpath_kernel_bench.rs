@@ -1,5 +1,5 @@
 //! Flat weight-matrix kernel vs. the pre-change edge-walk search, on a
-//! UW3-sized graph.
+//! UW3-sized table.
 //!
 //! Three comparisons, all producing identical results (the reference module
 //! and the kernel property tests pin that down), so the numbers are pure
@@ -17,7 +17,7 @@
 use detour_bench::{reference, Bench};
 use detour_core::analysis::cdf::compare_graph;
 use detour_core::analysis::hostremoval::greedy_removal;
-use detour_core::{kernel, AnalysisContext, MeasurementGraph, Rtt, SearchDepth, WeightMatrix};
+use detour_core::{kernel, AnalysisContext, PairTable, Rtt, SearchDepth, WeightMatrix};
 use detour_datasets::{DatasetId, Scale};
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
     b.sample_size(10);
 
     let ds = DatasetId::Uw3.generate(Scale::reduced(14, 16));
-    let g = MeasurementGraph::from_dataset(&ds);
+    let g = PairTable::build(&ds);
 
     b.bench("altpath/edge_walk_sweep", || {
         reference::edge_walk_sweep(&g, &Rtt).len()

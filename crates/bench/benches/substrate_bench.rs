@@ -3,7 +3,7 @@
 //! statistical kernels (Dijkstra alternates, convolution).
 
 use detour_bench::Bench;
-use detour_core::{best_alternate, MeasurementGraph, Rtt};
+use detour_core::{best_alternate, PairTable, Rtt};
 use detour_datasets::{DatasetId, Scale};
 use detour_netsim::routing::path::Resolver;
 use detour_netsim::sim::clock::SimTime;
@@ -59,7 +59,7 @@ fn bench_probing(b: &mut Bench) {
 
 fn bench_analysis_kernels(b: &mut Bench) {
     let ds = DatasetId::Uw3.generate(Scale::reduced(14, 16));
-    let g = MeasurementGraph::from_dataset(&ds);
+    let g = PairTable::build(&ds);
     b.bench("core/best_alternate_all_pairs", || {
         let mut n = 0;
         for pair in g.pairs() {

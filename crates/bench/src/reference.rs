@@ -2,7 +2,7 @@
 //!
 //! `detour_core`'s alternate-path search now runs on the flat
 //! [`detour_core::WeightMatrix`] kernel; the original per-relaxation
-//! edge-walk (chasing `edge_by_index` `Option`s and calling
+//! edge-walk (chasing `PairTable::edge` `Option`s and calling
 //! `Metric::weight` inside the Dijkstra loop, with fresh allocations per
 //! pair) and the clone-plus-rebuild Figure-12 greedy loop survive here,
 //! verbatim, so `benches/altpath_kernel_bench.rs` and the `baseline`
@@ -15,13 +15,13 @@ use detour_core::altpath::SearchDepth;
 use detour_core::analysis::cdf::improvement_cdf;
 use detour_core::analysis::hostremoval::RemovalAnalysis;
 use detour_core::metric::Metric;
-use detour_core::{pool, MeasurementGraph, Pair, PathComparison, WeightMatrix};
+use detour_core::{pool, Pair, PairTable, PathComparison, WeightMatrix};
 use detour_measure::HostId;
 
 use crate::study::Study;
 
 /// The pre-refactor experiment engine: run one experiment against a study
-/// whose artifact caches start *empty*, so every pair table, graph, and
+/// whose artifact caches start *empty*, so every pair table and
 /// weight matrix rebuilds from the shared datasets — exactly what each
 /// experiment paid before the build-once [`detour_core::AnalysisContext`].
 /// The equivalence tests and the `baseline` binary byte-compare the shared
@@ -31,19 +31,19 @@ pub fn run_rebuild(id: &str, study: &Study) -> Option<String> {
     crate::experiments::run(id, &fresh).or_else(|| crate::extras::run(id, &fresh))
 }
 
-/// The pre-change unrestricted search: dense Dijkstra walking graph edges
-/// through `edge_by_index`, re-deriving each weight via `Metric::weight` at
+/// The pre-change unrestricted search: dense Dijkstra walking table edges
+/// through `PairTable::edge`, re-deriving each weight via `Metric::weight` at
 /// every relaxation and allocating its working state per call.
 pub fn edge_walk_best_alternate(
-    graph: &MeasurementGraph,
+    table: &PairTable,
     pair: Pair,
     metric: &impl Metric,
 ) -> Option<PathComparison> {
-    let s = graph.host_index(pair.src)?;
-    let d = graph.host_index(pair.dst)?;
-    let default_value = metric.value(graph.edge_by_index(s, d)?)?;
+    let s = table.host_index(pair.src)?;
+    let d = table.host_index(pair.dst)?;
+    let default_value = metric.value(&table.edge(s, d)?)?;
 
-    let n = graph.len();
+    let n = table.len();
     let mut dist = vec![f64::INFINITY; n];
     let mut prev = vec![usize::MAX; n];
     let mut done = vec![false; n];
@@ -63,10 +63,10 @@ pub fn edge_walk_best_alternate(
             if u == s && v == d {
                 continue;
             }
-            let Some(e) = graph.edge_by_index(u, v) else {
+            let Some(e) = table.edge(u, v) else {
                 continue;
             };
-            let Some(w) = metric.weight(e) else { continue };
+            let Some(w) = metric.weight(&e) else { continue };
             if dist[u] + w < dist[v] {
                 dist[v] = dist[u] + w;
                 prev[v] = u;
@@ -87,7 +87,7 @@ pub fn edge_walk_best_alternate(
         .windows(2)
         .map(|w| {
             metric
-                .value(graph.edge_by_index(w[0], w[1]).expect("path edge"))
+                .value(&table.edge(w[0], w[1]).expect("path edge"))
                 .unwrap()
         })
         .collect();
@@ -97,7 +97,7 @@ pub fn edge_walk_best_alternate(
         alternate_value: metric.compose(&values),
         via: rev[1..rev.len() - 1]
             .iter()
-            .map(|&i| graph.host_at(i))
+            .map(|&i| table.host_at(i))
             .collect(),
         lower_is_better: true,
     })
@@ -105,10 +105,10 @@ pub fn edge_walk_best_alternate(
 
 /// The pre-change all-pairs sweep: fan the edge-walk search out over the
 /// pool, one fresh allocation set per pair.
-pub fn edge_walk_sweep(graph: &MeasurementGraph, metric: &impl Metric) -> Vec<PathComparison> {
-    let pairs = graph.pairs();
+pub fn edge_walk_sweep(table: &PairTable, metric: &impl Metric) -> Vec<PathComparison> {
+    let pairs = table.pairs();
     pool::parallel_map(&pairs, |&pair| {
-        edge_walk_best_alternate(graph, pair, metric)
+        edge_walk_best_alternate(table, pair, metric)
     })
     .into_iter()
     .flatten()
@@ -299,8 +299,8 @@ pub fn per_pair_sweep(
     .collect()
 }
 
-fn cdf_position(graph: &MeasurementGraph, metric: &impl Metric) -> f64 {
-    let cs = edge_walk_sweep(graph, metric);
+fn cdf_position(table: &PairTable, metric: &impl Metric) -> f64 {
+    let cs = edge_walk_sweep(table, metric);
     if cs.is_empty() {
         return f64::NEG_INFINITY;
     }
@@ -308,17 +308,13 @@ fn cdf_position(graph: &MeasurementGraph, metric: &impl Metric) -> f64 {
 }
 
 /// The pre-change Figure-12 greedy loop: every candidate evaluation deep
-/// clones the graph via `without_host` and re-runs the edge-walk sweep on
+/// clones the table via `without_host` and re-runs the edge-walk sweep on
 /// the rebuilt copy.
-pub fn clone_rebuild_greedy(
-    graph: &MeasurementGraph,
-    metric: &impl Metric,
-    k: usize,
-) -> RemovalAnalysis {
-    let full = improvement_cdf(&edge_walk_sweep(graph, metric));
-    let mut current = graph.clone();
+pub fn clone_rebuild_greedy(table: &PairTable, metric: &impl Metric, k: usize) -> RemovalAnalysis {
+    let full = improvement_cdf(&edge_walk_sweep(table, metric));
+    let mut current = table.clone();
     let mut removed = Vec::new();
-    for _ in 0..k.min(graph.len().saturating_sub(3)) {
+    for _ in 0..k.min(table.len().saturating_sub(3)) {
         let mut best: Option<(f64, HostId)> = None;
         for &h in current.hosts() {
             let candidate = current.without_host(h);
@@ -351,13 +347,13 @@ mod tests {
     /// kernel bit for bit, or the bench compares different computations.
     /// This also pins the greedy loop's incremental candidate evaluation
     /// (reuse of pairs whose best path avoids the candidate) against the
-    /// exhaustive clone-rebuild loop, at several graph sizes.
+    /// exhaustive clone-rebuild loop, at several table sizes.
     #[test]
     fn reference_matches_kernel_exactly() {
         for n in [9usize, 12, 16] {
             let ds = DatasetId::Uw3.generate_scaled(n, 32);
             let cx = AnalysisContext::from_dataset(&ds);
-            let g = cx.graph();
+            let g = cx.table();
             assert_eq!(
                 edge_walk_sweep(g, &Rtt),
                 compare_graph(g, &Rtt, SearchDepth::Unrestricted)

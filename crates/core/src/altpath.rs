@@ -15,10 +15,10 @@
 //!   composing transfer RTT/loss through the Mathis model.
 
 use crate::compose::LossComposition;
-use crate::graph::{MeasurementGraph, Pair};
 use crate::kernel::{BandwidthMatrix, DijkstraScratch, WeightMatrix};
 use crate::metric::Metric;
-use detour_measure::HostId;
+use crate::Pair;
+use detour_measure::{HostId, PairTable};
 
 /// How far alternate paths may detour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,13 +88,13 @@ impl PathComparison {
 /// build the matrix once and call the kernel directly — the sweeps in
 /// [`crate::analysis`] do.
 pub fn best_alternate(
-    graph: &MeasurementGraph,
+    table: &PairTable,
     pair: Pair,
     metric: &impl Metric,
 ) -> Option<PathComparison> {
-    let s = graph.host_index(pair.src)?;
-    let d = graph.host_index(pair.dst)?;
-    let m = WeightMatrix::build(graph, metric);
+    let s = table.host_index(pair.src)?;
+    let d = table.host_index(pair.dst)?;
+    let m = WeightMatrix::build(table, metric);
     crate::kernel::best_alternate_masked(
         &m,
         &m.no_mask(),
@@ -108,13 +108,13 @@ pub fn best_alternate(
 /// Best alternate through exactly one intermediate host. Single-pair
 /// convenience wrapper over [`crate::kernel::best_alternate_one_hop_masked`].
 pub fn best_alternate_one_hop(
-    graph: &MeasurementGraph,
+    table: &PairTable,
     pair: Pair,
     metric: &impl Metric,
 ) -> Option<PathComparison> {
-    let s = graph.host_index(pair.src)?;
-    let d = graph.host_index(pair.dst)?;
-    let m = WeightMatrix::build(graph, metric);
+    let s = table.host_index(pair.src)?;
+    let d = table.host_index(pair.dst)?;
+    let m = WeightMatrix::build(table, metric);
     crate::kernel::best_alternate_one_hop_masked(&m, &m.no_mask(), s, d, metric)
 }
 
@@ -124,13 +124,13 @@ pub fn best_alternate_one_hop(
 /// Single-pair convenience wrapper over
 /// [`crate::kernel::best_alternate_bandwidth_masked`].
 pub fn best_alternate_bandwidth(
-    graph: &MeasurementGraph,
+    table: &PairTable,
     pair: Pair,
     mode: LossComposition,
 ) -> Option<PathComparison> {
-    let s = graph.host_index(pair.src)?;
-    let d = graph.host_index(pair.dst)?;
-    let bm = BandwidthMatrix::build(graph);
+    let s = table.host_index(pair.src)?;
+    let d = table.host_index(pair.dst)?;
+    let bm = BandwidthMatrix::build(table);
     crate::kernel::best_alternate_bandwidth_masked(&bm, &bm.no_mask(), s, d, mode)
 }
 
@@ -194,7 +194,7 @@ mod tests {
             &[&[0.0, 10.0, 100.0], &[10.0, 0.0, 20.0], &[100.0, 20.0, 0.0]],
             3,
         );
-        let g = MeasurementGraph::from_dataset(&ds);
+        let g = PairTable::build(&ds);
         let cmp = best_alternate(
             &g,
             Pair {
@@ -224,7 +224,7 @@ mod tests {
             ],
             3,
         );
-        let g = MeasurementGraph::from_dataset(&ds);
+        let g = PairTable::build(&ds);
         let cmp = best_alternate(
             &g,
             Pair {
@@ -242,7 +242,7 @@ mod tests {
     fn direct_edge_is_excluded_from_the_search() {
         // Only the direct edge exists: no alternate.
         let ds = dataset_from_rtt_matrix(&[&[0.0, 10.0], &[10.0, 0.0]], 3);
-        let g = MeasurementGraph::from_dataset(&ds);
+        let g = PairTable::build(&ds);
         assert!(best_alternate(
             &g,
             Pair {
@@ -261,7 +261,7 @@ mod tests {
             &[&[0.0, 20.0, 10.0], &[20.0, 0.0, 20.0], &[10.0, 20.0, 0.0]],
             3,
         );
-        let g = MeasurementGraph::from_dataset(&ds);
+        let g = PairTable::build(&ds);
         let cmp = best_alternate(
             &g,
             Pair {
@@ -282,7 +282,7 @@ mod tests {
             &[&[0.0, 15.0, 90.0], &[15.0, 0.0, 25.0], &[90.0, 25.0, 0.0]],
             3,
         );
-        let g = MeasurementGraph::from_dataset(&ds);
+        let g = PairTable::build(&ds);
         let pair = Pair {
             src: HostId(0),
             dst: HostId(2),
@@ -305,7 +305,7 @@ mod tests {
             ],
             3,
         );
-        let g = MeasurementGraph::from_dataset(&ds);
+        let g = PairTable::build(&ds);
         let pair = Pair {
             src: HostId(0),
             dst: HostId(3),
@@ -336,7 +336,7 @@ mod tests {
                 .collect();
             let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
             let ds = dataset_from_rtt_matrix(&refs, 2);
-            let g = MeasurementGraph::from_dataset(&ds);
+            let g = PairTable::build(&ds);
             for pair in g.pairs() {
                 let got = best_alternate(&g, pair, &Rtt);
                 let expect = brute_force_best(&g, pair);
@@ -352,16 +352,16 @@ mod tests {
     }
 
     /// Exhaustive shortest alternate by permutation search (n ≤ 7).
-    fn brute_force_best(g: &MeasurementGraph, pair: Pair) -> Option<f64> {
+    fn brute_force_best(g: &PairTable, pair: Pair) -> Option<f64> {
         let s = g.host_index(pair.src)?;
         let d = g.host_index(pair.dst)?;
-        g.edge_by_index(s, d)?;
+        g.edge(s, d)?;
         let n = g.len();
         let mut best: Option<f64> = None;
         // DFS over simple paths.
         #[allow(clippy::too_many_arguments)]
         fn dfs(
-            g: &MeasurementGraph,
+            g: &PairTable,
             cur: usize,
             d: usize,
             s: usize,
@@ -383,7 +383,7 @@ mod tests {
                 if first_step && cur == s && v == d {
                     continue; // excluded direct edge
                 }
-                if let Some(e) = g.edge_by_index(cur, v) {
+                if let Some(e) = g.edge(cur, v) {
                     if let Some(m) = e.rtt {
                         visited[v] = true;
                         dfs(g, v, d, s, cost + m.mean, visited, best, false);
@@ -415,7 +415,7 @@ mod tests {
                 }
             }
         }
-        let g = MeasurementGraph::from_dataset(&ds);
+        let g = PairTable::build(&ds);
         let cmp = best_alternate(
             &g,
             Pair {

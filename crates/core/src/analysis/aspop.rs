@@ -29,16 +29,21 @@ pub struct AsPoint {
 
 /// Computes the Figure-14 scatter for `metric`-selected alternates.
 pub fn analyze(cx: &AnalysisContext, metric: &impl Metric) -> Vec<AsPoint> {
-    let graph = cx.graph();
+    let table = cx.table();
+    let as_paths = &cx.dataset().as_paths;
+    let path = |a, b| {
+        let e = table.edge(table.host_index(a)?, table.host_index(b)?)?;
+        Some(e.as_path(as_paths))
+    };
     let mut default_counts: HashMap<u16, usize> = HashMap::new();
     let mut alternate_counts: HashMap<u16, usize> = HashMap::new();
 
     // Default paths: every measured pair contributes its modal AS path —
     // including pairs with no usable `metric` value, so this stays on
-    // `graph.pairs()` rather than the metric's measured-pair set.
-    for pair in graph.pairs() {
-        let edge = graph.edge(pair.src, pair.dst).expect("pair has an edge");
-        for &asn in edge.modal_as_path.iter().collect::<HashSet<_>>() {
+    // `table.pairs()` rather than the metric's measured-pair set.
+    for pair in table.pairs() {
+        let asns = path(pair.src, pair.dst).expect("pair has an edge");
+        for &asn in asns.iter().collect::<HashSet<_>>() {
             *default_counts.entry(asn).or_default() += 1;
         }
     }
@@ -51,8 +56,8 @@ pub fn analyze(cx: &AnalysisContext, metric: &impl Metric) -> Vec<AsPoint> {
             hops.push(cmp.pair.dst);
             let mut ases: HashSet<u16> = HashSet::new();
             for w in hops.windows(2) {
-                if let Some(e) = graph.edge(w[0], w[1]) {
-                    ases.extend(e.modal_as_path.iter().copied());
+                if let Some(asns) = path(w[0], w[1]) {
+                    ases.extend(asns.iter().copied());
                 }
             }
             for asn in ases {

@@ -37,12 +37,17 @@ impl AsymmetryReport {
     }
 }
 
-/// Computes the asymmetry census from the graph's modal AS paths.
+/// Computes the asymmetry census from the table's modal AS paths.
 pub fn analyze(cx: &AnalysisContext) -> AsymmetryReport {
-    let graph = cx.graph();
+    let table = cx.table();
+    let as_paths = &cx.dataset().as_paths;
+    let path = |a, b| {
+        let e = table.edge(table.host_index(a)?, table.host_index(b)?)?;
+        Some(e.as_path(as_paths))
+    };
     let mut report = AsymmetryReport::default();
     let mut seen: HashSet<(HostId, HostId)> = HashSet::new();
-    for pair in graph.pairs() {
+    for pair in table.pairs() {
         let key = if pair.src < pair.dst {
             (pair.src, pair.dst)
         } else {
@@ -51,16 +56,14 @@ pub fn analyze(cx: &AnalysisContext) -> AsymmetryReport {
         if !seen.insert(key) {
             continue;
         }
-        let (Some(fwd), Some(rev)) = (graph.edge(key.0, key.1), graph.edge(key.1, key.0)) else {
+        let (Some(fwd), Some(rev)) = (path(key.0, key.1), path(key.1, key.0)) else {
             continue;
         };
-        if fwd.modal_as_path.is_empty() || rev.modal_as_path.is_empty() {
+        if fwd.is_empty() || rev.is_empty() {
             continue;
         }
         report.pairs_bidirectional += 1;
-        let mut rev_reversed = rev.modal_as_path.clone();
-        rev_reversed.reverse();
-        if fwd.modal_as_path == rev_reversed {
+        if fwd.iter().eq(rev.iter().rev()) {
             report.symmetric += 1;
         } else {
             report.asymmetric += 1;

@@ -73,7 +73,7 @@ fn masked_position(
 ///
 /// The matrix comes from the context's artifact cache; each candidate removal is evaluated through a
 /// zero-copy mask over it rather than the old clone-plus-rebuild via
-/// `without_host` — masked sweeps are value-identical to rebuilt-graph
+/// `without_host` — masked sweeps are value-identical to rebuilt-table
 /// sweeps (relative vertex order is preserved, so every tie-break
 /// matches), which the kernel property tests pin down. On top of that,
 /// candidate evaluation is incremental ([`masked_position`]): removing `h`

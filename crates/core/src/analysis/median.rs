@@ -11,8 +11,9 @@
 use crate::altpath::SearchDepth;
 use crate::analysis::cdf::{compare_all_pairs, improvement_cdf};
 use crate::context::AnalysisContext;
-use crate::graph::MeasurementGraph;
 use crate::metric::Rtt;
+use crate::Pair;
+use detour_measure::PairTable;
 use detour_stats::convolve::SampleDist;
 use detour_stats::quantile::median;
 use detour_stats::Cdf;
@@ -32,23 +33,22 @@ pub struct MeanMedianComparison {
 
 /// Best one-hop alternate judged by median (via convolution); returns the
 /// improvement `default_median − best_alternate_median`.
-fn median_improvement(graph: &MeasurementGraph, pair: crate::graph::Pair) -> Option<f64> {
-    let s = graph.host_index(pair.src)?;
-    let d = graph.host_index(pair.dst)?;
-    let default_edge = graph.edge_by_index(s, d)?;
-    let default_median = median(&default_edge.rtt_samples)?;
+fn median_improvement(table: &PairTable, pair: Pair) -> Option<f64> {
+    let s = table.host_index(pair.src)?;
+    let d = table.host_index(pair.dst)?;
+    let default_median = median(table.edge(s, d)?.rtt_samples)?;
 
     let mut best: Option<f64> = None;
-    for m in 0..graph.len() {
+    for m in 0..table.len() {
         if m == s || m == d {
             continue;
         }
-        let (Some(e1), Some(e2)) = (graph.edge_by_index(s, m), graph.edge_by_index(m, d)) else {
+        let (Some(e1), Some(e2)) = (table.edge(s, m), table.edge(m, d)) else {
             continue;
         };
         let (Some(d1), Some(d2)) = (
-            SampleDist::from_samples(&e1.rtt_samples, CONVOLUTION_BIN_MS),
-            SampleDist::from_samples(&e2.rtt_samples, CONVOLUTION_BIN_MS),
+            SampleDist::from_samples(e1.rtt_samples, CONVOLUTION_BIN_MS),
+            SampleDist::from_samples(e2.rtt_samples, CONVOLUTION_BIN_MS),
         ) else {
             continue;
         };
@@ -63,12 +63,12 @@ fn median_improvement(graph: &MeasurementGraph, pair: crate::graph::Pair) -> Opt
 /// Runs the Figure-6 analysis over a dataset's context.
 pub fn analyze(cx: &AnalysisContext) -> MeanMedianComparison {
     let mean_based = improvement_cdf(&compare_all_pairs(cx, &Rtt, SearchDepth::OneHop));
-    let graph = cx.graph();
+    let table = cx.table();
     let median_based = Cdf::from_samples(
-        graph
+        table
             .pairs()
             .into_iter()
-            .filter_map(|p| median_improvement(graph, p)),
+            .filter_map(|p| median_improvement(table, p)),
     );
     MeanMedianComparison {
         mean_based,

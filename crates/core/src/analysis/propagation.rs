@@ -93,24 +93,19 @@ pub struct Decomposition {
 /// into propagation and queuing differences. The RTT searches run as one
 /// kernel sweep; only surviving comparisons pay for the propagation walk.
 pub fn decompose(cx: &AnalysisContext) -> Decomposition {
-    let graph = cx.graph();
+    let table = cx.table();
+    let prop = |a, b| PropDelay.value(&table.edge(table.host_index(a)?, table.host_index(b)?)?);
     let mut points = Vec::new();
     for cmp in compare_all_pairs(cx, &Rtt, SearchDepth::Unrestricted) {
         let pair = cmp.pair;
         // Propagation of the default path and of the *same* alternate path.
-        let Some(default_prop) = graph
-            .edge(pair.src, pair.dst)
-            .and_then(|e| PropDelay.value(e))
-        else {
+        let Some(default_prop) = prop(pair.src, pair.dst) else {
             continue;
         };
         let mut hops = vec![pair.src];
         hops.extend(cmp.via.iter().copied());
         hops.push(pair.dst);
-        let alt_prop: Option<f64> = hops
-            .windows(2)
-            .map(|w| graph.edge(w[0], w[1]).and_then(|e| PropDelay.value(e)))
-            .sum();
+        let alt_prop: Option<f64> = hops.windows(2).map(|w| prop(w[0], w[1])).sum();
         let Some(alt_prop) = alt_prop else { continue };
         points.push(DecompositionPoint {
             d_total: cmp.improvement(),

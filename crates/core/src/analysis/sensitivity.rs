@@ -8,10 +8,10 @@
 //! k-best machinery.
 
 use crate::context::AnalysisContext;
-use crate::graph::Pair;
 use crate::kbest::k_best_alternates_in;
 use crate::metric::Metric;
 use crate::pool;
+use crate::Pair;
 use detour_stats::Cdf;
 
 /// Per-pair fragility of the best alternate.

@@ -12,9 +12,9 @@
 
 use crate::altpath::PathComparison;
 use crate::context::AnalysisContext;
-use crate::graph::Pair;
 use crate::kernel::{self, DijkstraScratch, WeightMatrix};
 use crate::metric::Metric;
+use crate::Pair;
 
 /// Composes the true metric value along a vertex sequence.
 fn compose_along(m: &WeightMatrix, metric: &impl Metric, path: &[usize]) -> f64 {
@@ -209,7 +209,7 @@ mod tests {
             dst: HostId(3),
         };
         let kb = k_best_alternates(&g, pair, &Rtt, 3);
-        let best = best_alternate(g.graph(), pair, &Rtt).unwrap();
+        let best = best_alternate(g.table(), pair, &Rtt).unwrap();
         assert_eq!(kb[0].alternate_value, best.alternate_value);
         assert_eq!(kb[0].via, best.via);
     }
@@ -270,9 +270,9 @@ mod tests {
                 .collect();
             let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
             let g = AnalysisContext::from_dataset(&dataset_from_rtt_matrix(&refs));
-            for pair in g.graph().pairs() {
+            for pair in g.table().pairs() {
                 let kb = k_best_alternates(&g, pair, &Rtt, 1);
-                let best = best_alternate(g.graph(), pair, &Rtt);
+                let best = best_alternate(g.table(), pair, &Rtt);
                 match (kb.first(), best) {
                     (None, None) => {}
                     (Some(a), Some(b)) => {

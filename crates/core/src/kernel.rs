@@ -2,8 +2,8 @@
 //!
 //! Every alternate-path sweep reduces to the same inner loop: visit the
 //! edges of the measurement graph, ask a [`Metric`] for each edge's search
-//! weight, relax. The naive form pays for that with an `Option<EdgeStats>`
-//! pointer chase plus an `Option<Summary>` unwrap *per relaxation* — for an
+//! weight, relax. The naive form pays for that with an `Option<Edge>`
+//! lookup plus an `Option<Summary>` unwrap *per relaxation* — for an
 //! all-pairs sweep that re-derives the same `n²` weights `O(n²)` times
 //! each. The paper itself retreated to one-hop detours in places "to keep
 //! the computational costs reasonable" (§4.1, §6.1); this module is why the
@@ -13,7 +13,7 @@
 //!
 //! * [`WeightMatrix`] — one contiguous row-major `n × n` `Vec<f64>` of
 //!   search weights (missing edge = `+∞`) and one of figure-facing metric
-//!   values (missing = `NaN`), precomputed **once per (graph, metric)** by
+//!   values (missing = `NaN`), precomputed **once per (table, metric)** by
 //!   calling [`Metric::weight`]/[`Metric::value`] exactly once per edge.
 //!   [`BandwidthMatrix`] is the analogue for the N2 Mathis-model search.
 //! * **The source-batched sweep** ([`sweep_into`]) — the paper's
@@ -37,7 +37,7 @@
 //!   vertices per iteration.
 //! * **Masked views** — every kernel entry point takes a `removed: &[bool]`
 //!   host mask. Masking a host is equivalent, value-for-value, to
-//!   rebuilding the graph with [`crate::MeasurementGraph::without_host`]
+//!   rebuilding the table with [`crate::PairTable::without_host`]
 //!   (relative vertex order is preserved, so tie-breaks resolve
 //!   identically) but costs nothing — which turns the Figure-12 greedy
 //!   removal loop from clone-plus-rebuild per candidate into a pure sweep.
@@ -55,12 +55,12 @@
 
 use crate::altpath::{PathComparison, SearchDepth};
 use crate::compose::{synthetic_bandwidth_kbps, LossComposition};
-use crate::graph::{MeasurementGraph, Pair};
 use crate::metric::Metric;
 use crate::pool;
-use detour_measure::HostId;
+use crate::Pair;
+use detour_measure::{HostId, PairTable};
 
-/// Precomputed flat edge weights and values for one `(graph, metric)`.
+/// Precomputed flat edge weights and values for one `(table, metric)`.
 #[derive(Debug, Clone)]
 pub struct WeightMatrix {
     n: usize,
@@ -78,8 +78,8 @@ pub struct WeightMatrix {
 impl WeightMatrix {
     /// Builds the matrix, calling `metric.weight` and `metric.value`
     /// exactly once per measured edge.
-    pub fn build(graph: &MeasurementGraph, metric: &impl Metric) -> WeightMatrix {
-        let n = graph.len();
+    pub fn build(table: &PairTable, metric: &impl Metric) -> WeightMatrix {
+        let n = table.len();
         let mut weights = vec![f64::INFINITY; n * n];
         let mut values = vec![f64::NAN; n * n];
         for i in 0..n {
@@ -87,17 +87,17 @@ impl WeightMatrix {
                 if i == j {
                     continue;
                 }
-                if let Some(e) = graph.edge_by_index(i, j) {
-                    if let Some(v) = metric.value(e) {
+                if let Some(e) = table.edge(i, j) {
+                    if let Some(v) = metric.value(&e) {
                         values[i * n + j] = v;
                     }
-                    if let Some(w) = metric.weight(e) {
+                    if let Some(w) = metric.weight(&e) {
                         weights[i * n + j] = w;
                     }
                 }
             }
         }
-        let hosts = graph.hosts().to_vec();
+        let hosts = table.hosts().to_vec();
         let index_of = hosts.iter().enumerate().map(|(i, &h)| (h, i)).collect();
         WeightMatrix {
             n,
@@ -118,7 +118,7 @@ impl WeightMatrix {
         self.n == 0
     }
 
-    /// The hosts, in the graph's dense-index order.
+    /// The hosts, in the table's dense-index order.
     pub fn hosts(&self) -> &[HostId] {
         &self.hosts
     }
@@ -146,7 +146,7 @@ impl WeightMatrix {
     }
 
     /// A removal mask with `host` masked out — the zero-copy analogue of
-    /// [`MeasurementGraph::without_host`]. Unknown hosts yield [`no_mask`].
+    /// [`PairTable::without_host`]. Unknown hosts yield [`no_mask`].
     ///
     /// [`no_mask`]: WeightMatrix::no_mask
     pub fn masked(&self, host: HostId) -> Vec<bool> {
@@ -158,7 +158,7 @@ impl WeightMatrix {
     }
 
     /// Directed index pairs with a measured metric value, in the same
-    /// deterministic `(i, j)` order as [`MeasurementGraph::pairs`], with
+    /// deterministic `(i, j)` order as [`PairTable::pairs`], with
     /// masked hosts excluded.
     ///
     /// Pairs whose edge exists but lacks this metric's value are omitted:
@@ -205,8 +205,8 @@ pub struct BandwidthMatrix {
 
 impl BandwidthMatrix {
     /// Builds the matrix, reading each edge's summaries exactly once.
-    pub fn build(graph: &MeasurementGraph) -> BandwidthMatrix {
-        let n = graph.len();
+    pub fn build(table: &PairTable) -> BandwidthMatrix {
+        let n = table.len();
         let mut bw = vec![f64::NAN; n * n];
         let mut t_rtt = vec![f64::NAN; n * n];
         let mut t_loss = vec![f64::NAN; n * n];
@@ -215,7 +215,7 @@ impl BandwidthMatrix {
                 if i == j {
                     continue;
                 }
-                if let Some(e) = graph.edge_by_index(i, j) {
+                if let Some(e) = table.edge(i, j) {
                     if let Some(b) = e.bandwidth {
                         bw[i * n + j] = b.mean;
                     }
@@ -230,7 +230,7 @@ impl BandwidthMatrix {
         }
         BandwidthMatrix {
             n,
-            hosts: graph.hosts().to_vec(),
+            hosts: table.hosts().to_vec(),
             bw,
             t_rtt,
             t_loss,
@@ -860,8 +860,8 @@ mod tests {
 
     const X: f64 = f64::NAN;
 
-    fn diamond() -> MeasurementGraph {
-        MeasurementGraph::from_dataset(&dataset_from_rtt_matrix(&[
+    fn diamond() -> PairTable {
+        PairTable::build(&dataset_from_rtt_matrix(&[
             &[0.0, 10.0, 30.0, 100.0],
             &[X, 0.0, 5.0, 20.0],
             &[X, X, 0.0, 25.0],
@@ -882,7 +882,7 @@ mod tests {
     }
 
     #[test]
-    fn measured_pairs_match_graph_pairs() {
+    fn measured_pairs_match_table_pairs() {
         let g = diamond();
         let m = WeightMatrix::build(&g, &Rtt);
         let from_matrix: Vec<Pair> = m
@@ -957,7 +957,7 @@ mod tests {
     /// Hand-built 5-host hub fixture, every ordered pair measured: legs
     /// to/from hub 0 cost 10 ms, everything else 100 ms — except the tied
     /// edges 1↔2 at 20 ms, exactly the cost of detouring via the hub.
-    fn hub_five() -> MeasurementGraph {
+    fn hub_five() -> PairTable {
         let mut rows = vec![vec![100.0f64; 5]; 5];
         rows[0] = vec![X, 10.0, 10.0, 10.0, 10.0];
         for (i, row) in rows.iter_mut().enumerate().skip(1) {
@@ -967,7 +967,7 @@ mod tests {
         rows[1][2] = 20.0;
         rows[2][1] = 20.0;
         let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        MeasurementGraph::from_dataset(&dataset_from_rtt_matrix(&refs))
+        PairTable::build(&dataset_from_rtt_matrix(&refs))
     }
 
     #[test]
@@ -1048,7 +1048,7 @@ mod tests {
     #[test]
     fn scratch_is_reusable_across_sizes() {
         let small = diamond();
-        let big = MeasurementGraph::from_dataset(&dataset_from_rtt_matrix(&[
+        let big = PairTable::build(&dataset_from_rtt_matrix(&[
             &[0.0, 10.0, 30.0, 100.0, 7.0],
             &[X, 0.0, 5.0, 20.0, X],
             &[X, X, 0.0, 25.0, 9.0],
@@ -1074,7 +1074,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_fine() {
-        let g = MeasurementGraph::from_dataset(&dataset_from_rtt_matrix(&[]));
+        let g = PairTable::build(&dataset_from_rtt_matrix(&[]));
         let m = WeightMatrix::build(&g, &Rtt);
         assert!(m.is_empty());
         assert!(m.measured_pairs(&m.no_mask()).is_empty());

@@ -8,8 +8,9 @@
 //!
 //! Pipeline:
 //!
-//! 1. build a [`MeasurementGraph`] from a `detour_measure::Dataset`
-//!    (vertices = hosts, directed edges = long-term path statistics);
+//! 1. build a [`PairTable`] from a `detour_measure::Dataset` — the
+//!    measurement graph (vertices = hosts, directed edges = long-term path
+//!    statistics, read through the borrowed [`Edge`] view);
 //! 2. pick a [`metric`] — mean RTT, loss rate (independent-loss
 //!    composition), propagation delay (10th percentile), or Mathis-model
 //!    bandwidth;
@@ -34,7 +35,6 @@ pub mod altpath;
 pub mod analysis;
 pub mod compose;
 pub mod context;
-pub mod graph;
 pub mod kbest;
 pub mod kernel;
 pub mod metric;
@@ -50,7 +50,7 @@ pub use altpath::{
 pub use compose::mathis_bandwidth_kbps;
 pub use compose::LossComposition;
 pub use context::{AnalysisContext, ArtifactKind, Degradation};
-pub use graph::{EdgeStats, MeasurementGraph, Pair};
+pub use detour_measure::{Edge, Pair, PairTable};
 pub use kbest::{k_best_alternates, k_best_alternates_in};
 pub use kernel::{BandwidthMatrix, DijkstraScratch, WeightMatrix};
 pub use metric::{Loss, Metric, MetricKind, PropDelay, Rtt};

@@ -14,7 +14,7 @@
 //! * **bandwidth** (Figures 4, 5) — not additive at all; handled by the
 //!   dedicated one-hop search in [`crate::altpath`] using the Mathis model.
 
-use crate::graph::EdgeStats;
+use detour_measure::Edge;
 use detour_stats::quantile::percentile;
 use detour_stats::Summary;
 
@@ -48,12 +48,12 @@ pub trait Metric: Sync {
 
     /// The figure-facing value of an edge (e.g. mean RTT in ms), or `None`
     /// when the edge lacks the needed measurements.
-    fn value(&self, e: &EdgeStats) -> Option<f64>;
+    fn value(&self, e: &Edge<'_>) -> Option<f64>;
 
     /// The additive shortest-path weight of an edge. Must be a monotone
     /// transform of `value` so that minimizing summed weights minimizes the
     /// composed value.
-    fn weight(&self, e: &EdgeStats) -> Option<f64> {
+    fn weight(&self, e: &Edge<'_>) -> Option<f64> {
         self.value(e)
     }
 
@@ -63,7 +63,7 @@ pub trait Metric: Sync {
     /// The full sample summary behind `value`, where the metric has one —
     /// the confidence-interval analyses (Figures 7–8, Tables 2–3) need
     /// variances and sample counts, not just means.
-    fn summary(&self, e: &EdgeStats) -> Option<Summary> {
+    fn summary(&self, e: &Edge<'_>) -> Option<Summary> {
         let _ = e;
         None
     }
@@ -82,7 +82,7 @@ impl Metric for Rtt {
         MetricKind::Rtt
     }
 
-    fn value(&self, e: &EdgeStats) -> Option<f64> {
+    fn value(&self, e: &Edge<'_>) -> Option<f64> {
         e.rtt.map(|s| s.mean)
     }
 
@@ -90,7 +90,7 @@ impl Metric for Rtt {
         values.iter().sum()
     }
 
-    fn summary(&self, e: &EdgeStats) -> Option<Summary> {
+    fn summary(&self, e: &Edge<'_>) -> Option<Summary> {
         e.rtt
     }
 }
@@ -108,11 +108,11 @@ impl Metric for Loss {
         MetricKind::Loss
     }
 
-    fn value(&self, e: &EdgeStats) -> Option<f64> {
+    fn value(&self, e: &Edge<'_>) -> Option<f64> {
         e.loss.map(|s| s.mean)
     }
 
-    fn weight(&self, e: &EdgeStats) -> Option<f64> {
+    fn weight(&self, e: &Edge<'_>) -> Option<f64> {
         // −ln(1−p) is additive where survival probabilities multiply; clamp
         // p away from 1 so a fully black edge stays finite but terrible.
         let p = self.value(e)?.min(0.999_999);
@@ -123,7 +123,7 @@ impl Metric for Loss {
         1.0 - values.iter().map(|p| 1.0 - p).product::<f64>()
     }
 
-    fn summary(&self, e: &EdgeStats) -> Option<Summary> {
+    fn summary(&self, e: &Edge<'_>) -> Option<Summary> {
         e.loss
     }
 }
@@ -142,8 +142,8 @@ impl Metric for PropDelay {
         MetricKind::PropDelay
     }
 
-    fn value(&self, e: &EdgeStats) -> Option<f64> {
-        percentile(&e.rtt_samples, 10.0)
+    fn value(&self, e: &Edge<'_>) -> Option<f64> {
+        percentile(e.rtt_samples, 10.0)
     }
 
     fn compose(&self, values: &[f64]) -> f64 {
@@ -156,10 +156,10 @@ mod tests {
     use super::*;
     use detour_stats::Summary;
 
-    fn edge(rtt_samples: &[f64], loss_rate: Option<(f64, u64)>) -> EdgeStats {
-        EdgeStats {
+    fn edge(rtt_samples: &[f64], loss_rate: Option<(f64, u64)>) -> Edge<'_> {
+        Edge {
             rtt: Summary::from_slice(rtt_samples),
-            rtt_samples: rtt_samples.to_vec(),
+            rtt_samples,
             loss: loss_rate.map(|(p, n)| Summary {
                 n,
                 mean: p,
@@ -170,7 +170,7 @@ mod tests {
             bandwidth: None,
             transfer_rtt: None,
             transfer_loss: None,
-            modal_as_path: vec![],
+            modal_path: None,
         }
     }
 

@@ -8,13 +8,13 @@
 //!   brute-force search over simple paths on random graphs — an oracle
 //!   that shares no code with the kernel.
 //! * **Mask = rebuild**: sweeping with `masked(host)` must equal sweeping
-//!   a graph rebuilt by `without_host`, value for value — the invariant
+//!   a table rebuilt by `without_host`, value for value — the invariant
 //!   that lets the Figure-12 greedy loop drop its clone-per-candidate.
 
 use detour_core::analysis::cdf::compare_graph;
 use detour_core::kernel::{self, DijkstraScratch, WeightMatrix};
 use detour_core::metric::{Metric, Rtt};
-use detour_core::{MeasurementGraph, SearchDepth};
+use detour_core::{PairTable, SearchDepth};
 use detour_measure::record::HostMeta;
 use detour_measure::{Dataset, HostId, ProbeSample};
 use detour_prng::check::check;
@@ -66,12 +66,12 @@ fn random_dataset(rng: &mut Xoshiro256pp) -> Dataset {
 }
 
 /// Exhaustive best alternate (cheapest simple path, direct edge excluded)
-/// by DFS over the *graph* — shares nothing with the kernel's matrix or
+/// by DFS over the *table* — shares nothing with the kernel's matrix or
 /// Dijkstra.
-fn brute_force_best(g: &MeasurementGraph, s: usize, d: usize) -> Option<f64> {
-    g.edge_by_index(s, d)?;
+fn brute_force_best(g: &PairTable, s: usize, d: usize) -> Option<f64> {
+    g.edge(s, d)?;
     fn dfs(
-        g: &MeasurementGraph,
+        g: &PairTable,
         cur: usize,
         d: usize,
         s: usize,
@@ -89,7 +89,7 @@ fn brute_force_best(g: &MeasurementGraph, s: usize, d: usize) -> Option<f64> {
             if visited[v] || (cur == s && v == d) {
                 continue;
             }
-            if let Some(e) = g.edge_by_index(cur, v) {
+            if let Some(e) = g.edge(cur, v) {
                 if let Some(m) = e.rtt {
                     visited[v] = true;
                     dfs(g, v, d, s, cost + m.mean, visited, best);
@@ -108,7 +108,7 @@ fn brute_force_best(g: &MeasurementGraph, s: usize, d: usize) -> Option<f64> {
 #[test]
 fn kernel_best_alternate_matches_brute_force_oracle() {
     check("kernel matches brute force", |rng| {
-        let g = MeasurementGraph::from_dataset(&random_dataset(rng));
+        let g = PairTable::build(&random_dataset(rng));
         let m = WeightMatrix::build(&g, &Rtt);
         let mask = m.no_mask();
         let mut scratch = DijkstraScratch::new();
@@ -134,22 +134,21 @@ fn kernel_best_alternate_matches_brute_force_oracle() {
 #[test]
 fn one_hop_kernel_matches_exhaustive_midpoint_scan() {
     check("one-hop matches midpoint scan", |rng| {
-        let g = MeasurementGraph::from_dataset(&random_dataset(rng));
+        let g = PairTable::build(&random_dataset(rng));
         let m = WeightMatrix::build(&g, &Rtt);
         let mask = m.no_mask();
         for (s, d) in m.measured_pairs(&mask) {
             let got = kernel::best_alternate_one_hop_masked(&m, &mask, s, d, &Rtt);
-            // Oracle: scan midpoints on the graph directly.
+            // Oracle: scan midpoints on the table directly.
             let mut best: Option<f64> = None;
             for mid in 0..g.len() {
                 if mid == s || mid == d {
                     continue;
                 }
-                let (Some(e1), Some(e2)) = (g.edge_by_index(s, mid), g.edge_by_index(mid, d))
-                else {
+                let (Some(e1), Some(e2)) = (g.edge(s, mid), g.edge(mid, d)) else {
                     continue;
                 };
-                let (Some(v1), Some(v2)) = (Rtt.value(e1), Rtt.value(e2)) else {
+                let (Some(v1), Some(v2)) = (Rtt.value(&e1), Rtt.value(&e2)) else {
                     continue;
                 };
                 let c = Rtt.compose(&[v1, v2]);
@@ -169,7 +168,7 @@ fn one_hop_kernel_matches_exhaustive_midpoint_scan() {
 #[test]
 fn masked_sweep_equals_without_host_sweep() {
     check("masked sweep equals without_host", |rng| {
-        let g = MeasurementGraph::from_dataset(&random_dataset(rng));
+        let g = PairTable::build(&random_dataset(rng));
         let m = WeightMatrix::build(&g, &Rtt);
         let victim = HostId(rng.gen_range(0..g.len() as u32));
         let masked = kernel::sweep(&m, &m.masked(victim), &Rtt, SearchDepth::Unrestricted);
@@ -183,7 +182,7 @@ fn masked_sweep_equals_without_host_sweep() {
 #[test]
 fn masked_one_hop_sweep_equals_without_host_sweep() {
     check("masked one-hop equals without_host", |rng| {
-        let g = MeasurementGraph::from_dataset(&random_dataset(rng));
+        let g = PairTable::build(&random_dataset(rng));
         let m = WeightMatrix::build(&g, &Rtt);
         let victim = HostId(rng.gen_range(0..g.len() as u32));
         let masked = kernel::sweep(&m, &m.masked(victim), &Rtt, SearchDepth::OneHop);
@@ -195,7 +194,7 @@ fn masked_one_hop_sweep_equals_without_host_sweep() {
 #[test]
 fn k_best_first_entry_matches_kernel_best() {
     check("k-best head equals best", |rng| {
-        let g = MeasurementGraph::from_dataset(&random_dataset(rng));
+        let g = PairTable::build(&random_dataset(rng));
         let m = WeightMatrix::build(&g, &Rtt);
         let mask = m.no_mask();
         let mut scratch = DijkstraScratch::new();

@@ -35,7 +35,7 @@ pub use control::{
     CampaignConfig, ProbeKind, RawMeasurements,
 };
 pub use dataset::{Characteristics, Dataset, MIN_SAMPLES_PER_PATH};
-pub use pairtable::PairTable;
+pub use pairtable::{Edge, Pair, PairTable};
 pub use ratelimit::RateLimitPolicy;
 pub use record::{HostMeta, Invocation, ProbeSample, TransferSample};
 pub use schedule::{Request, Schedule};

@@ -21,7 +21,7 @@ fn main() {
     println!("generating a reduced UW1 dataset (public traceroute servers)...");
     let ds = DatasetId::Uw1.generate_scaled(24, 4);
     let cx = AnalysisContext::from_dataset(&ds);
-    let graph = cx.graph();
+    let table = cx.table();
 
     let comparisons = compare_all_pairs(&cx, &Rtt, SearchDepth::Unrestricted);
     let losers: Vec<_> = comparisons.iter().filter(|c| c.alternate_wins()).collect();
@@ -36,10 +36,14 @@ fn main() {
     let mut blame_ms: HashMap<u16, f64> = HashMap::new();
     let mut appearances: HashMap<u16, usize> = HashMap::new();
     for cmp in &losers {
-        let edge = graph
-            .edge(cmp.pair.src, cmp.pair.dst)
+        let (s, d) = (
+            table.host_index(cmp.pair.src),
+            table.host_index(cmp.pair.dst),
+        );
+        let edge = table
+            .edge(s.expect("pair host"), d.expect("pair host"))
             .expect("compared pairs have edges");
-        let path = &edge.modal_as_path;
+        let path = edge.as_path(&ds.as_paths);
         if path.len() <= 2 {
             continue;
         }

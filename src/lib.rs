@@ -17,7 +17,8 @@
 //!   ICMP rate-limit detection, dataset assembly;
 //! * [`datasets`] — the five dataset configurations of the paper
 //!   (D2, N2, UW1, UW3, UW4-A/B);
-//! * [`core`] — the paper's contribution: the measurement graph, metric
+//! * [`core`] — the paper's contribution: the per-pair measurement graph
+//!   ([`core::PairTable`] plus its borrowed [`core::Edge`] view), metric
 //!   composition, best-alternate-path search and every analysis behind
 //!   Figures 1–16 and Tables 1–3;
 //! * [`stats`] — the supporting statistics (CDFs, convolution, Student-t,
@@ -27,15 +28,15 @@
 //!
 //! ```
 //! use detour::datasets::DatasetId;
-//! use detour::core::{MeasurementGraph, metric::Rtt, altpath::best_alternate};
+//! use detour::core::{PairTable, metric::Rtt, altpath::best_alternate};
 //!
 //! // Generate a small deterministic dataset over the simulated Internet.
 //! let ds = DatasetId::Uw3.generate_scaled(10, 24);
-//! let graph = MeasurementGraph::from_dataset(&ds);
+//! let table = PairTable::build(&ds);
 //! let mut improved = 0;
 //! let mut total = 0;
-//! for pair in graph.pairs() {
-//!     if let Some(cmp) = best_alternate(&graph, pair, &Rtt) {
+//! for pair in table.pairs() {
+//!     if let Some(cmp) = best_alternate(&table, pair, &Rtt) {
 //!         total += 1;
 //!         if cmp.alternate_wins() {
 //!             improved += 1;

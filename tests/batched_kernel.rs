@@ -16,7 +16,7 @@ use detour::core::altpath::SearchDepth;
 use detour::core::kernel::{self, WeightMatrix};
 use detour::core::metric::{Loss, Metric, PropDelay, Rtt};
 use detour::core::pool;
-use detour::core::{AnalysisContext, MeasurementGraph};
+use detour::core::{AnalysisContext, PairTable};
 use detour::datasets::DatasetId;
 use detour::measure::record::HostMeta;
 use detour::measure::{Dataset, HostId, ProbeSample};
@@ -127,7 +127,7 @@ fn assert_equivalent(m: &WeightMatrix, mask: &[bool], metric: &impl Metric, dept
 #[test]
 fn batched_sweep_matches_per_pair_reference_on_random_masked_graphs() {
     check("batched sweep equals per-pair reference", |rng| {
-        let g = MeasurementGraph::from_dataset(&random_dataset(rng));
+        let g = PairTable::build(&random_dataset(rng));
         let m = WeightMatrix::build(&g, &Rtt);
         let mask = random_mask(rng, g.len());
         for depth in [SearchDepth::Unrestricted, SearchDepth::OneHop] {

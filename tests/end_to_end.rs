@@ -2,15 +2,15 @@
 //! dataset → measurement graph → alternate-path analysis.
 
 use detour::core::analysis::cdf::{compare_all_pairs, improvement_cdf};
-use detour::core::{best_alternate, AnalysisContext, Loss, MeasurementGraph, Rtt, SearchDepth};
+use detour::core::{best_alternate, AnalysisContext, Loss, PairTable, Rtt, SearchDepth};
 use detour::datasets::DatasetId;
 
 #[test]
 fn pipeline_produces_analyzable_graph() {
     let ds = DatasetId::Uw3.generate_scaled(14, 24);
-    let g = MeasurementGraph::from_dataset(&ds);
+    let g = PairTable::build(&ds);
     assert!(g.len() >= 6, "enough hosts survive filtering");
-    assert!(g.edge_count() > g.len(), "dense pairwise coverage");
+    assert!(g.measured_count() > g.len(), "dense pairwise coverage");
     let pairs = g.pairs();
     assert!(!pairs.is_empty());
 

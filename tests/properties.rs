@@ -4,7 +4,7 @@
 //! invariants that only hold across crate boundaries — dataset assembly
 //! feeding the measurement graph feeding the alternate-path search.
 
-use detour::core::{best_alternate, Loss, MeasurementGraph, Metric, Pair, Rtt};
+use detour::core::{best_alternate, Loss, Metric, Pair, PairTable, Rtt};
 use detour::measure::record::HostMeta;
 use detour::measure::{Dataset, HostId, ProbeSample};
 use detour::prng::check::check;
@@ -81,7 +81,7 @@ fn alternate_is_never_better_than_true_shortest_path() {
         // shortest path (direct edge included) — removing an edge never
         // shortens routes.
         let ds = dataset_from(&matrix(rng));
-        let g = MeasurementGraph::from_dataset(&ds);
+        let g = PairTable::build(&ds);
         for pair in g.pairs() {
             if let Some(cmp) = best_alternate(&g, pair, &Rtt) {
                 let direct = cmp.default_value;
@@ -100,7 +100,7 @@ fn alternate_is_never_better_than_true_shortest_path() {
 fn via_hosts_form_a_simple_path() {
     check("via_hosts_form_a_simple_path", |rng| {
         let ds = dataset_from(&matrix(rng));
-        let g = MeasurementGraph::from_dataset(&ds);
+        let g = PairTable::build(&ds);
         for pair in g.pairs() {
             if let Some(cmp) = best_alternate(&g, pair, &Rtt) {
                 // No repeated intermediates, endpoints excluded.
@@ -116,9 +116,10 @@ fn via_hosts_form_a_simple_path() {
                 hops.push(pair.dst);
                 let mut sum = 0.0;
                 for w in hops.windows(2) {
-                    let e = g.edge(w[0], w[1]);
+                    let (a, b) = (g.host_index(w[0]).unwrap(), g.host_index(w[1]).unwrap());
+                    let e = g.edge(a, b);
                     assert!(e.is_some(), "missing edge {:?}->{:?}", w[0], w[1]);
-                    sum += Rtt.value(e.unwrap()).unwrap();
+                    sum += Rtt.value(&e.unwrap()).unwrap();
                 }
                 assert!((sum - cmp.alternate_value).abs() < 1e-9);
             }
@@ -130,7 +131,7 @@ fn via_hosts_form_a_simple_path() {
 fn loss_composition_is_bounded_and_monotone() {
     check("loss_composition_is_bounded_and_monotone", |rng| {
         let ds = dataset_from(&matrix(rng));
-        let g = MeasurementGraph::from_dataset(&ds);
+        let g = PairTable::build(&ds);
         for pair in g.pairs() {
             if let Some(cmp) = best_alternate(&g, pair, &Loss) {
                 assert!((0.0..=1.0).contains(&cmp.alternate_value));
@@ -139,9 +140,10 @@ fn loss_composition_is_bounded_and_monotone() {
                 let mut hops = vec![pair.src];
                 hops.extend(cmp.via.iter().copied());
                 hops.push(pair.dst);
+                let hops: Vec<usize> = hops.iter().map(|&h| g.host_index(h).unwrap()).collect();
                 let max_leg = hops
                     .windows(2)
-                    .map(|w| Loss.value(g.edge(w[0], w[1]).unwrap()).unwrap())
+                    .map(|w| Loss.value(&g.edge(w[0], w[1]).unwrap()).unwrap())
                     .fold(0.0f64, f64::max);
                 assert!(cmp.alternate_value >= max_leg - 1e-9);
             }
@@ -153,7 +155,7 @@ fn loss_composition_is_bounded_and_monotone() {
 fn improvement_cdf_is_a_distribution() {
     check("improvement_cdf_is_a_distribution", |rng| {
         let ds = dataset_from(&matrix(rng));
-        let g = MeasurementGraph::from_dataset(&ds);
+        let g = PairTable::build(&ds);
         let improvements: Vec<f64> = g
             .pairs()
             .into_iter()
@@ -179,7 +181,7 @@ fn removing_hosts_never_invents_better_alternates() {
         // still present, the best alternate in the reduced graph is no
         // better than in the full graph.
         let ds = dataset_from(&matrix(rng));
-        let g = MeasurementGraph::from_dataset(&ds);
+        let g = PairTable::build(&ds);
         if g.len() < 4 {
             return;
         }
