@@ -109,15 +109,10 @@ fn main() {
         Bundle::generate_cached(scale.with_seed_offset(seed), cache_dir).expect("trace cache")
     });
     eprintln!(
-        "datasets ready in {load_secs:.1}s ({} cached, {} generated, {} migrated to .trace2)",
+        "datasets ready in {load_secs:.1}s ({} cached, {} generated)",
         rec.counter("cache/hits"),
         rec.counter("cache/misses"),
-        rec.counter("cache/migrated")
     );
-    let swept = cache::sweep_stale(cache_dir).expect("sweep stale text traces");
-    if swept > 0 {
-        eprintln!("swept {swept} stale legacy .trace file(s) superseded by .trace2");
-    }
     let study = Study::from_bundle(bundle);
 
     // The paper experiments run through the parallel engine (prebuilt
