@@ -119,7 +119,7 @@ fn random_datasets_roundtrip_bit_identically() {
 
 #[test]
 fn text_chain_preserves_every_field() {
-    // The migration path the cache takes for legacy entries:
+    // The text-to-binary interchange chain:
     // text trace → Dataset → .trace2 → Dataset. Every metric, episode id,
     // starved-pair counter and rate-limit flag must come out bit-identical
     // — UW4-A carries episodes, N2 carries transfers, and the fault

@@ -60,6 +60,11 @@ fi
 echo "== cargo test --offline =="
 cargo test -q --offline --workspace
 
+# perfbench/ is a standalone package that drives the crates through their
+# public API; its smoke test fails here when an API change breaks it.
+echo "== perfbench smoke test =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # The baseline binary prints its obs table (spans/counters/gauges) to
 # stderr at the end of the run and writes the full detour-obs-v1 report
 # to results/obs_report.json, which the obscheck gate below validates.

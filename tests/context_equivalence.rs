@@ -3,7 +3,7 @@
 //! same study — once through [`detour_bench::experiments::run_all`]
 //! (artifacts built once, shared across experiments) and once through
 //! [`detour_bench::reference::run_rebuild`] (every experiment rebuilds
-//! pair tables, graphs, and weight matrices from scratch, the
+//! pair tables and weight matrices from scratch, the
 //! pre-refactor engine) — and the reports must match byte for byte at
 //! 1, 2, and 8 worker threads.
 
