@@ -6,85 +6,85 @@
 //! cargo run -p detour-bench --release --bin baseline -- [out.json]
 //! ```
 //!
-//! Every timing and count in this binary flows through one `detour-obs`
+//! Every number this binary reports is a name in one `detour-obs`
 //! [`Recorder`] installed at the top of `main`: the pipeline's own spans
 //! and counters (`net/*`, `dataset/*`, `cache/*`, `context/*`,
 //! `kernel/*`, `engine/*`, `faults/*`, `pool/*`) accumulate alongside the
-//! baseline's own `baseline/*` spans, and the full report is written to
-//! `results/obs_report.json` (schema `detour-obs-v1`) and rendered as a
-//! table on stderr at the end of the run. The JSON written to the output
-//! path keeps its historical field names — `scripts/verify.sh` extracts
-//! them with `sed` — but every number in it is read back out of the
-//! recorder rather than from ad-hoc stat structs.
+//! baseline's own `baseline/*` spans, counters and gauges. The snapshot is
+//! the only report: it is written to the output path (schema
+//! `detour-obs-v1`, `BENCH_baseline.json` by default) and rendered as a
+//! table on stderr at the end of the run. Per-worker-count values carry a
+//! fixed label suffix — `w1`, `w2`, `w4`, or `wmax` for the
+//! `available_parallelism` row when it is none of those — so the names
+//! stay the fixed vocabulary of `scripts/obs_manifest.txt`.
 //!
 //! The run starts **cold**: the trace cache under `results/cache/` is
-//! purged and regenerated once (eight misses), timing how much a cold
-//! start costs. Every subsequent "run" is **warm** — it loads the eight
-//! datasets from the cache (eight hits; the datasets are byte-identical to
-//! generation because the `.trace2` round-trip is lossless), builds the
-//! [`Study`] of shared `AnalysisContext`s, and executes every paper
-//! experiment through the declarative engine ([`run_all`]), with the
-//! wall-clock split per stage: cache load, context construction, and the
-//! experiment sweep. The run repeats at 1, 2, 4, and
-//! `available_parallelism` workers — except on a single-core host, where
-//! only the 1-worker run executes: multi-worker rows there measure pure
-//! scheduling overhead (0.85–0.96× "speedups") and would read as
-//! regressions, so they are suppressed rather than printed. Three gates,
-//! all fatal:
+//! purged and regenerated once (eight misses, `baseline/cold_generate`),
+//! timing how much a cold start costs. Every subsequent "run" is **warm** —
+//! it loads the eight datasets from the cache (eight hits; the datasets are
+//! byte-identical to generation because the `.trace2` round-trip is
+//! lossless), builds the [`Study`] of shared `AnalysisContext`s, and
+//! executes every paper experiment through the declarative engine
+//! ([`run_all`]), timed whole (`baseline/warm/<w>`) and split per stage
+//! (`baseline/warm_{load,context,experiments}/<w>`). The run repeats
+//! at 1, 2, 4, and `available_parallelism` workers — except on a
+//! single-core host, where only the 1-worker run executes: multi-worker
+//! rows there measure pure scheduling overhead (0.85–0.96× "speedups") and
+//! would read as regressions, so they are suppressed rather than recorded.
+//! Three gates, all fatal:
 //!
 //! * every report must be byte-identical across worker counts;
 //! * every report must be byte-identical to the pre-refactor
 //!   rebuild-per-experiment engine ([`reference::run_rebuild`]) at every
 //!   worker count;
 //! * on a multi-core host, the 2-worker warm run must reach a 1.2×
-//!   speedup over 1 worker (experiments are the parallelism unit, and the
-//!   artifact store removes the rebuild serialization that used to eat the
-//!   win).
+//!   speedup over 1 worker (`baseline/warm_speedup/w2`; experiments are
+//!   the parallelism unit, and the artifact store removes the rebuild
+//!   serialization that used to eat the win).
 //!
-//! The JSON also records the cache hit/miss counters of every run
-//! (`cache/hits`, `cache/misses`) and the per-run artifact build count —
-//! the sum of the `context/*_builds` counters: eight tables and one
-//! weight matrix per (dataset, metric-family) actually used — which
-//! proves each artifact was built exactly once no matter how
-//! many experiments shared it.
+//! Each warm run also records its cache hit/miss counts
+//! (`baseline/warm_{hits,misses}/<w>`) and its artifact build count
+//! (`baseline/artifact_builds/<w>`) — the sum of the `context/*_builds`
+//! counters: eight tables and one weight matrix per (dataset,
+//! metric-family) actually used — which proves each artifact was built
+//! exactly once no matter how many experiments shared it.
 //!
-//! A separate `fig12_greedy` entry times the Figure-12 greedy host
-//! removal both ways — the pre-change clone-plus-rebuild loop
+//! The Figure-12 greedy host removal is timed both ways — the pre-change
+//! clone-plus-rebuild loop
 //! ([`detour_bench::reference::clone_rebuild_greedy`]) against the
-//! mask-based flat-kernel loop — on the same table, recording both costs
-//! and their ratio in the same JSON file.
+//! mask-based flat-kernel loop — on the same table
+//! (`baseline/fig12_{clone_rebuild,masked_kernel}`, ratio in
+//! `baseline/fig12_speedup`).
 //!
-//! A `scale_sweep` entry times the source-batched best-alternate kernel on
+//! The `scale_*` names time the source-batched best-alternate kernel on
 //! the 128-host SCALE dataset ([`detour_bench::scale`], generated through
-//! the same trace cache) at every worker count, byte-compares every run
+//! the same trace cache) at every worker count, byte-compare every run
 //! against the first and against the retained per-pair reference
-//! ([`reference::per_pair_sweep`]), and records the fix-up/avoided
-//! re-search counts (the `kernel/sweep_*` counters). The dataset's load
-//! path is timed three ways — `load_cold_seconds` (post-purge, so
-//! generation plus the first `.trace2` write), `load_seconds` (warm binary
-//! decode, best of three via [`Recorder::best_of`]), and
-//! `text_load_seconds` (the text parser on a `.trace` copy of the same
+//! ([`reference::per_pair_sweep`]), and record the pair/fix-up/avoided
+//! re-search counts (from the `kernel/sweep_*` counters). The dataset's
+//! load path is timed three ways — `scale_load_cold` (post-purge, so
+//! generation plus the first `.trace2` write), `scale_load_warm` (warm
+//! binary decode, best of three via [`Recorder::best_of`]), and
+//! `scale_load_text` (the text parser on a `.trace` copy of the same
 //! dataset the gate writes and deletes itself, best of three) — all three
-//! loads asserted equal. Three gates ride on it:
-//! the batched kernel must beat the per-pair reference ≥ 3× at one worker
-//! (always), the warm `.trace2` load must beat the text parser ≥ 3×
-//! (always), and two workers must beat one by ≥ 1.3× (multi-core hosts
-//! only).
+//! loads asserted equal. Three gates ride on it: the batched kernel must
+//! beat the per-pair reference ≥ 3× at one worker (always), the warm
+//! `.trace2` load must beat the text parser ≥ 3× (always), and two workers
+//! must beat one by ≥ 1.3× (multi-core hosts only).
 //!
 //! Two further sections map where dataset generation itself spends its
 //! time (it is all cold-start cost now that warm runs load traces):
 //!
-//! * `generate_stages` — one representative reduced UW3 generation per
-//!   worker count, split into network-build / routing-precompute /
+//! * `baseline/generate*/<w>` — one representative reduced UW3 generation
+//!   per worker count, split into network-build / routing-precompute /
 //!   campaign / assemble wall-clock, read from the pipeline's own
 //!   `net/build`, `net/routing`, `dataset/campaign`, and
 //!   `dataset/assemble` spans;
-//! * `campaign` — the measurement campaign alone (fixed network, fixed
-//!   request list) at each worker count, with the output byte-compared to
-//!   the 1-worker run. On a multi-core host the 2-worker campaign must
-//!   reach a 1.3× speedup.
+//! * `baseline/campaign/<w>` — the measurement campaign alone (fixed
+//!   network, fixed request list) at each worker count, with the output
+//!   byte-compared to the 1-worker run. On a multi-core host the 2-worker
+//!   campaign must reach a 1.3× speedup.
 
-use std::fmt::Write as _;
 use std::path::Path;
 
 use detour_bench::experiments::{run_all, ALL_EXPERIMENTS};
@@ -94,7 +94,7 @@ use detour_core::analysis::hostremoval::greedy_removal;
 use detour_core::kernel;
 use detour_core::{pool, AnalysisContext, Rtt};
 use detour_datasets::Scale;
-use detour_measure::{run_campaign, tracefile, CampaignConfig, RawMeasurements, Request, Schedule};
+use detour_measure::{run_campaign, tracefile, CampaignConfig, Request, Schedule};
 use detour_netsim::Network;
 use detour_obs::{Recorder, RunReport};
 use detour_prng::Xoshiro256pp;
@@ -106,24 +106,17 @@ const SCALE: (usize, u32) = (10, 16);
 /// Where the trace cache lives (matches the `figures` binary).
 const CACHE_DIR: &str = "results/cache";
 
-/// Where the full observability report lands (matches `scripts/verify.sh`
-/// and the `obscheck` manifest gate).
-const OBS_REPORT_PATH: &str = "results/obs_report.json";
-
 fn scale() -> Scale {
     Scale::reduced(SCALE.0, SCALE.1)
 }
 
-/// Stage timings of one warm run, in seconds.
-struct Stages {
-    load: f64,
-    context: f64,
-    experiments: f64,
-}
-
-impl Stages {
-    fn total(&self) -> f64 {
-        self.load + self.context + self.experiments
+/// The fixed label of a worker count in recorder names.
+fn label(n: usize) -> &'static str {
+    match n {
+        1 => "w1",
+        2 => "w2",
+        4 => "w4",
+        _ => "wmax",
     }
 }
 
@@ -143,30 +136,37 @@ fn artifact_builds(d: &RunReport) -> u64 {
     .sum()
 }
 
-/// One warm engine run: cache load → context build → experiment sweep.
-/// Returns the stage timings, the concatenated reports, the cache
-/// (hits, misses) delta, and the artifact build count — the last two read
-/// from the recorder instead of hand-threaded stat structs.
-fn warm_run(rec: &Recorder, dir: &Path) -> (Stages, Vec<String>, (u64, u64), u64) {
+/// One warm engine run at worker label `w`: cache load → context build →
+/// experiment sweep, each stage and the whole run a `baseline/warm_*/<w>`
+/// span. Records the run's cache hits/misses and artifact build count and
+/// returns the concatenated reports.
+fn warm_run(rec: &Recorder, dir: &Path, w: &str) -> Vec<String> {
     let before = rec.snapshot();
-    let (bundle, load) = rec.time("baseline/warm_load", || {
+    let total = rec.span(&format!("baseline/warm/{w}"));
+    let (bundle, _) = rec.time(&format!("baseline/warm_load/{w}"), || {
         Bundle::generate_cached(scale(), dir).expect("trace cache")
     });
-    let (study, context) = rec.time("baseline/warm_context", || Study::from_bundle(bundle));
-    let (reports, experiments) = rec.time("baseline/warm_experiments", || {
+    let (study, _) = rec.time(&format!("baseline/warm_context/{w}"), || {
+        Study::from_bundle(bundle)
+    });
+    let (reports, _) = rec.time(&format!("baseline/warm_experiments/{w}"), || {
         run_all(&study, ALL_EXPERIMENTS)
     });
+    total.finish();
     let d = rec.snapshot().delta_since(&before);
-    (
-        Stages {
-            load,
-            context,
-            experiments,
-        },
-        reports,
-        (d.counter("cache/hits"), d.counter("cache/misses")),
+    let (hits, misses) = (d.counter("cache/hits"), d.counter("cache/misses"));
+    assert_eq!(
+        (hits, misses),
+        (8, 0),
+        "warm run must load all eight datasets from the cache"
+    );
+    rec.add(&format!("baseline/warm_hits/{w}"), hits);
+    rec.add(&format!("baseline/warm_misses/{w}"), misses);
+    rec.add(
+        &format!("baseline/artifact_builds/{w}"),
         artifact_builds(&d),
-    )
+    );
+    reports
 }
 
 /// The pre-refactor engine's reports for the same study, for byte-identity.
@@ -179,13 +179,13 @@ fn rebuild_reports(dir: &Path) -> Vec<String> {
         .collect()
 }
 
-/// Host count and removal count for the `fig12_greedy` timing.
+/// Host count and removal count for the Figure-12 greedy timing.
 const FIG12_HOSTS: usize = 20;
 const FIG12_REMOVALS: usize = 5;
 
-/// Times the Figure-12 greedy both ways on one table; returns
-/// `(reference_secs, kernel_secs)` after checking both agree.
-fn time_fig12_greedy(rec: &Recorder) -> (f64, f64) {
+/// Times the Figure-12 greedy both ways on one table, checks both agree,
+/// and records their ratio as `baseline/fig12_speedup`.
+fn time_fig12_greedy(rec: &Recorder) {
     let ds = detour_datasets::DatasetId::Uw3.generate_scaled(FIG12_HOSTS, 16);
     let cx = AnalysisContext::from_dataset(&ds);
     let k = FIG12_REMOVALS;
@@ -203,33 +203,36 @@ fn time_fig12_greedy(rec: &Recorder) -> (f64, f64) {
         kern.removed, refr.removed,
         "kernel and reference greedy diverged"
     );
-    (reference_secs, kernel_secs)
+    rec.set_gauge("baseline/fig12_hosts", FIG12_HOSTS as f64);
+    rec.set_gauge("baseline/fig12_removals", FIG12_REMOVALS as f64);
+    rec.set_gauge(
+        "baseline/fig12_speedup",
+        reference_secs / kernel_secs.max(1e-9),
+    );
 }
 
-/// The wall-clock split of one dataset generation, read from the
-/// pipeline's own spans rather than a bespoke stage struct.
-struct GenStages {
-    network_build: f64,
-    routing_precompute: f64,
-    campaign: f64,
-    assemble: f64,
-}
-
-/// One representative reduced UW3 generation. The generation pipeline
-/// instruments itself (`net/build`, `net/routing`, `dataset/campaign`,
-/// `dataset/assemble`); this just runs it and reads the span delta so the
-/// JSON (and `scripts/verify.sh`) can show where generation time goes as
+/// One representative reduced UW3 generation at worker label `w`, timed
+/// whole as `baseline/generate/<w>`. The generation pipeline instruments
+/// itself (`net/build`, `net/routing`, `dataset/campaign`,
+/// `dataset/assemble`); their deltas become the per-stage
+/// `baseline/generate_*/<w>` spans, showing where generation time goes as
 /// workers scale.
-fn staged_generate(rec: &Recorder) -> GenStages {
+fn staged_generate(rec: &Recorder, w: &str) {
     let before = rec.snapshot();
-    let spec = detour_datasets::uw3::spec();
-    let _ = detour_datasets::generate(&spec, scale());
+    rec.time(&format!("baseline/generate/{w}"), || {
+        detour_datasets::generate(&detour_datasets::uw3::spec(), scale())
+    });
     let d = rec.snapshot().delta_since(&before);
-    GenStages {
-        network_build: d.span_seconds("net/build"),
-        routing_precompute: d.span_seconds("net/routing"),
-        campaign: d.span_seconds("dataset/campaign"),
-        assemble: d.span_seconds("dataset/assemble"),
+    for (stage, span) in [
+        ("network", "net/build"),
+        ("routing", "net/routing"),
+        ("campaign", "dataset/campaign"),
+        ("assemble", "dataset/assemble"),
+    ] {
+        rec.record_seconds(
+            &format!("baseline/generate_{stage}/{w}"),
+            d.span_seconds(span),
+        );
     }
 }
 
@@ -248,12 +251,31 @@ fn campaign_workload() -> (Network, Vec<Request>) {
     (net, requests)
 }
 
-/// Times the campaign alone at the current worker count.
-fn time_campaign(rec: &Recorder, net: &Network, requests: &[Request]) -> (f64, RawMeasurements) {
-    let (raw, secs) = rec.time("baseline/campaign", || {
-        run_campaign(net, requests, &CampaignConfig::traceroute(), 17)
-    });
-    (secs, raw)
+/// Records the gauge `baseline/<what>_speedup/<w>` = (1-worker seconds) /
+/// (`w` seconds) for every worker count, read from the spans
+/// `baseline/<what>/<w>`. Returns the 2-worker speedup when that row ran.
+fn record_speedups(rec: &Recorder, counts: &[usize], what: &str) -> Option<f64> {
+    let report = rec.snapshot();
+    let t1 = report.span_seconds(&format!("baseline/{what}/w1"));
+    let mut two = None;
+    for &n in counts {
+        let w = label(n);
+        let speedup = t1
+            / report
+                .span_seconds(&format!("baseline/{what}/{w}"))
+                .max(1e-9);
+        rec.set_gauge(&format!("baseline/{what}_speedup/{w}"), speedup);
+        if n == 2 {
+            two = Some(speedup);
+        }
+    }
+    two
+}
+
+/// Prints a gate failure and exits non-zero.
+fn fail(msg: &str) -> ! {
+    eprintln!("baseline: FAIL — {msg}");
+    std::process::exit(1);
 }
 
 fn main() {
@@ -266,12 +288,14 @@ fn main() {
     let cache_dir = Path::new(CACHE_DIR);
 
     // One recorder for the whole run: installed here, inherited by every
-    // pool worker, snapshotted at the end into `results/obs_report.json`.
+    // pool worker, snapshotted at the end into the output file.
     let rec = Recorder::new();
     let _obs = detour_obs::install(rec.clone());
+    rec.set_gauge("baseline/cores", cores as f64);
+    rec.set_gauge("baseline/experiments", ALL_EXPERIMENTS.len() as f64);
 
     // On a single-core host, multi-worker rows measure scheduling overhead,
-    // not parallelism — suppress them instead of printing 0.9x "speedups".
+    // not parallelism — suppress them instead of recording 0.9x "speedups".
     let mut counts = if cores > 1 {
         vec![1usize, 2, 4, cores]
     } else {
@@ -299,46 +323,30 @@ fn main() {
         (0, 8),
         "cold run must generate all eight datasets"
     );
+    rec.add("baseline/cold_hits", cold_hits);
+    rec.add("baseline/cold_misses", cold_misses);
     eprintln!("baseline: cold generate {cold_secs:.2} s ({cold_misses} misses -> {CACHE_DIR})");
 
     // The campaign workload is built once, outside the timed loop, so every
     // worker count measures the same network and request list.
     let (camp_net, camp_reqs) = campaign_workload();
+    rec.set_gauge("baseline/campaign_requests", camp_reqs.len() as f64);
 
-    let mut reference_reports: Option<Vec<String>> = None;
-    let mut camp_reference: Option<RawMeasurements> = None;
-    let mut runs: Vec<(usize, Stages, (u64, u64), u64)> = Vec::new();
-    let mut gen_runs: Vec<(usize, GenStages)> = Vec::new();
-    let mut camp_runs: Vec<(usize, f64)> = Vec::new();
+    let mut first_reports: Option<Vec<String>> = None;
+    let mut first_campaign = None;
     for &n in &counts {
         pool::set_threads(n);
-        let (stages, reports, (hits, misses), builds) = warm_run(&rec, cache_dir);
-        eprintln!(
-            "baseline: {n} worker(s): {:.2} s (load {:.2} + contexts {:.2} + experiments {:.2}), {} artifact builds",
-            stages.total(),
-            stages.load,
-            stages.context,
-            stages.experiments,
-            builds,
-        );
-        assert_eq!(
-            (hits, misses),
-            (8, 0),
-            "warm run must load all eight datasets from the cache"
-        );
+        let w = label(n);
+        let reports = warm_run(&rec, cache_dir, w);
 
         // Gate 1: byte identity across worker counts (vs the first run).
-        match &reference_reports {
-            None => reference_reports = Some(reports.clone()),
-            Some(r) => {
-                if *r != reports {
-                    eprintln!(
-                        "baseline: FAIL — reports at {n} workers differ from {} workers",
-                        counts[0]
-                    );
-                    std::process::exit(1);
-                }
-            }
+        match &first_reports {
+            None => first_reports = Some(reports.clone()),
+            Some(r) if *r != reports => fail(&format!(
+                "reports at {n} workers differ from {} workers",
+                counts[0]
+            )),
+            Some(_) => {}
         }
         // Gate 2: byte identity vs the rebuild-per-experiment engine at
         // *this* worker count.
@@ -353,43 +361,26 @@ fn main() {
             }
             std::process::exit(1);
         }
-        runs.push((n, stages, (hits, misses), builds));
 
-        let gs = staged_generate(&rec);
-        eprintln!(
-            "baseline: {n} worker(s) generate stages: network {:.3} + routing {:.3} + campaign {:.3} + assemble {:.3} s",
-            gs.network_build, gs.routing_precompute, gs.campaign, gs.assemble,
-        );
-        gen_runs.push((n, gs));
+        staged_generate(&rec, w);
 
-        let (camp_secs, raw) = time_campaign(&rec, &camp_net, &camp_reqs);
-        eprintln!(
-            "baseline: {n} worker(s) campaign alone: {camp_secs:.3} s ({} requests)",
-            camp_reqs.len()
-        );
-        match &camp_reference {
-            None => camp_reference = Some(raw),
-            Some(r) => {
-                if *r != raw {
-                    eprintln!(
-                        "baseline: FAIL — campaign output at {n} workers differs from 1 worker"
-                    );
-                    std::process::exit(1);
-                }
-            }
+        let (raw, _) = rec.time(&format!("baseline/campaign/{w}"), || {
+            run_campaign(&camp_net, &camp_reqs, &CampaignConfig::traceroute(), 17)
+        });
+        match &first_campaign {
+            None => first_campaign = Some(raw),
+            Some(r) if *r != raw => fail(&format!(
+                "campaign output at {n} workers differs from 1 worker"
+            )),
+            Some(_) => {}
         }
-        camp_runs.push((n, camp_secs));
+        eprintln!("baseline: {n} worker(s) done");
     }
 
     // Figure-12 greedy: clone-rebuild reference vs. masked kernel, single
     // worker so the ratio measures the algorithm, not the fan-out.
     pool::set_threads(1);
-    let (fig12_ref, fig12_kernel) = time_fig12_greedy(&rec);
-    let fig12_speedup = fig12_ref / fig12_kernel.max(1e-9);
-    eprintln!(
-        "baseline: fig12_greedy: clone-rebuild {fig12_ref:.3} s, masked kernel \
-         {fig12_kernel:.3} s ({fig12_speedup:.1}x)"
-    );
+    time_fig12_greedy(&rec);
     pool::set_threads(0);
 
     // scale_sweep: the 128-host kernel workload. The batched sweep runs at
@@ -401,14 +392,11 @@ fn main() {
     // the load-path optimization is gated on) times the `.trace2` decode
     // alone, best of three, against the legacy text parser on the same
     // dataset, also best of three.
-    let ((scale_ds, scale_hit), scale_cold_secs) = rec.time("baseline/scale_load_cold", || {
+    let ((scale_ds, scale_hit), _) = rec.time("baseline/scale_load_cold", || {
         scale_workload::load_or_generate(cache_dir).expect("scale dataset")
     });
-    eprintln!(
-        "baseline: scale_sweep dataset: {} hosts, cache {} (cold {scale_cold_secs:.2} s)",
-        scale_ds.hosts.len(),
-        if scale_hit { "hit" } else { "miss" },
-    );
+    rec.add("baseline/scale_cold_hits", u64::from(scale_hit));
+    rec.set_gauge("baseline/scale_hosts", scale_ds.hosts.len() as f64);
     assert!(
         scale_ds.hosts.len() >= 120,
         "scale_sweep needs >= 120 hosts, got {}",
@@ -436,48 +424,39 @@ fn main() {
     });
     std::fs::remove_file(&scale_text_path).expect("remove the text trace copy");
     let load_speedup = text_load_secs / scale_load_secs.max(1e-9);
-    eprintln!(
-        "baseline: scale_sweep load: warm .trace2 {scale_load_secs:.3} s, text \
-         {text_load_secs:.3} s ({load_speedup:.1}x)"
-    );
+    rec.set_gauge("baseline/binary_load_speedup_vs_text", load_speedup);
+
     let scale_cx = AnalysisContext::from_dataset(&scale_ds);
     let scale_m = scale_cx.weights(&Rtt);
     let scale_mask = scale_m.no_mask();
-    let mut sweep_runs: Vec<(usize, f64)> = Vec::new();
-    let mut sweep_reference = None;
-    let mut sweep_stats = (0u64, 0u64, 0u64);
+    let mut first_sweep = None;
     for &n in &counts {
         pool::set_threads(n);
         let before = rec.snapshot();
-        let (out, secs) = rec.time("baseline/scale_sweep", || {
+        let (out, _) = rec.time(&format!("baseline/scale_sweep/{}", label(n)), || {
             kernel::sweep(scale_m, &scale_mask, &Rtt, SearchDepth::Unrestricted)
         });
         let d = rec.snapshot().delta_since(&before);
-        let stats = (
+        let stats = [
             d.counter("kernel/sweep_pairs"),
             d.counter("kernel/sweep_fixups"),
             d.counter("kernel/sweep_avoided"),
-        );
-        eprintln!(
-            "baseline: scale_sweep {n} worker(s): {secs:.3} s ({} pairs, {} fixups, {} avoided)",
-            stats.0, stats.1, stats.2
-        );
-        match &sweep_reference {
+        ];
+        match &first_sweep {
             None => {
-                sweep_reference = Some(out);
-                sweep_stats = stats;
+                rec.add("baseline/scale_pairs", stats[0]);
+                rec.add("baseline/scale_fixups", stats[1]);
+                rec.add("baseline/scale_avoided", stats[2]);
+                first_sweep = Some((out, stats));
             }
-            Some(r) => {
-                if *r != out || sweep_stats != stats {
-                    eprintln!(
-                        "baseline: FAIL — scale_sweep output at {n} workers differs from {} workers",
-                        counts[0]
-                    );
-                    std::process::exit(1);
-                }
+            Some((first_out, first_stats)) if *first_out != out || *first_stats != stats => {
+                fail(&format!(
+                    "scale_sweep output at {n} workers differs from {} workers",
+                    counts[0]
+                ))
             }
+            Some(_) => {}
         }
-        sweep_runs.push((n, secs));
     }
     // The per-pair reference, single-worker, and the batched kernel's
     // matching single-worker time for the algorithmic (not fan-out) ratio.
@@ -486,112 +465,24 @@ fn main() {
         reference::per_pair_sweep(scale_m, &scale_mask, &Rtt, SearchDepth::Unrestricted)
     });
     pool::set_threads(0);
-    if sweep_reference.as_deref() != Some(&per_pair[..]) {
-        eprintln!("baseline: FAIL — scale_sweep batched kernel differs from per-pair reference");
-        std::process::exit(1);
+    if first_sweep.map(|(out, _)| out) != Some(per_pair) {
+        fail("scale_sweep batched kernel differs from per-pair reference");
     }
-    let sweep_t1 = sweep_runs[0].1;
-    let sweep_algo_speedup = sweep_ref_secs / sweep_t1.max(1e-9);
-    let sweep_2thread_speedup = sweep_runs
-        .iter()
-        .find(|(n, _)| *n == 2)
-        .map(|&(_, s)| sweep_t1 / s.max(1e-9));
-    eprintln!(
-        "baseline: scale_sweep: per-pair reference {sweep_ref_secs:.3} s, batched \
-         {sweep_t1:.3} s ({sweep_algo_speedup:.1}x)"
-    );
-
-    let t1 = runs[0].1.total();
-    let two_thread_speedup = runs
-        .iter()
-        .find(|(n, ..)| *n == 2)
-        .map(|(_, s, ..)| t1 / s.total());
-
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"bench\": \"engine_all_experiments_shared_artifacts\",\n  \"cores\": {cores},\n  \"experiments\": {},\n  \"byte_identical_across_thread_counts\": true,\n  \"byte_identical_to_rebuild_engine\": true,\n  \"cache\": {{\"dir\": \"{CACHE_DIR}\", \"cold_seconds\": {cold_secs:.3}, \"cold_hits\": {cold_hits}, \"cold_misses\": {cold_misses}}},\n  \"runs\": [",
-        ALL_EXPERIMENTS.len(),
-    );
-    for (i, (n, s, (hits, misses), builds)) in runs.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "\n    {{\"threads\": {n}, \"seconds\": {:.3}, \"load_seconds\": {:.3}, \"context_seconds\": {:.3}, \"experiment_seconds\": {:.3}, \"cache_hits\": {hits}, \"cache_misses\": {misses}, \"artifact_builds\": {builds}, \"speedup_vs_1\": {:.2}}}",
-            s.total(),
-            s.load,
-            s.context,
-            s.experiments,
-            t1 / s.total()
-        );
-    }
-    json.push_str("\n  ],\n  \"generate_stages\": [");
-    for (i, (n, gs)) in gen_runs.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let total = gs.network_build + gs.routing_precompute + gs.campaign + gs.assemble;
-        let _ = write!(
-            json,
-            "\n    {{\"threads\": {n}, \"network_build_seconds\": {:.3}, \"routing_precompute_seconds\": {:.3}, \"campaign_seconds\": {:.3}, \"assemble_seconds\": {:.3}, \"total_seconds\": {total:.3}}}",
-            gs.network_build, gs.routing_precompute, gs.campaign, gs.assemble,
-        );
-    }
-    let camp_t1 = camp_runs[0].1;
-    let campaign_2thread_speedup = camp_runs
-        .iter()
-        .find(|(n, _)| *n == 2)
-        .map(|&(_, s)| camp_t1 / s.max(1e-9));
-    json.push_str("\n  ],\n  \"campaign\": [");
-    for (i, (n, s)) in camp_runs.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "\n    {{\"threads\": {n}, \"seconds\": {s:.3}, \"speedup_vs_1\": {:.2}}}",
-            camp_t1 / s.max(1e-9)
-        );
-    }
-    let _ = write!(
-        json,
-        "\n  ],\n  \"campaign_requests\": {},\n  \"fig12_greedy\": {{\n    \"hosts\": {FIG12_HOSTS},\n    \"removals\": {FIG12_REMOVALS},\n    \"clone_rebuild_seconds\": {fig12_ref:.3},\n    \"masked_kernel_seconds\": {fig12_kernel:.3},\n    \"speedup\": {fig12_speedup:.2}\n  }},\n  \"scale_sweep\": {{\n    \"scale_hosts\": {}, \"pairs\": {}, \"fixups\": {}, \"avoided\": {},\n    \"cache_hit\": {scale_hit}, \"load_cold_seconds\": {scale_cold_secs:.3},\n    \"load_seconds\": {scale_load_secs:.4}, \"text_load_seconds\": {text_load_secs:.4},\n    \"binary_load_speedup_vs_text\": {load_speedup:.2},\n    \"reference_seconds\": {sweep_ref_secs:.3}, \"batched_speedup_vs_reference\": {sweep_algo_speedup:.2},\n    \"runs\": [",
-        camp_reqs.len(),
-        scale_ds.hosts.len(),
-        sweep_stats.0,
-        sweep_stats.1,
-        sweep_stats.2,
-    );
-    for (i, (n, s)) in sweep_runs.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "\n      {{\"threads\": {n}, \"sweep_seconds\": {s:.3}, \"sweep_speedup_vs_1\": {:.2}}}",
-            sweep_t1 / s.max(1e-9)
-        );
-    }
-    json.push_str("\n    ]\n  }\n}\n");
-
-    std::fs::write(&out_path, &json).expect("write baseline json");
-    eprintln!("baseline: wrote {out_path}");
-    print!("{json}");
-
-    // The full observability report: headline ratios become gauges, then
-    // the recorder snapshot goes to disk (stable JSON, `detour-obs-v1`)
-    // and to stderr as a table.
-    rec.set_gauge("baseline/fig12_speedup", fig12_speedup);
+    let sweep_algo_speedup = sweep_ref_secs
+        / rec
+            .snapshot()
+            .span_seconds("baseline/scale_sweep/w1")
+            .max(1e-9);
     rec.set_gauge("baseline/batched_speedup_vs_reference", sweep_algo_speedup);
-    rec.set_gauge("baseline/binary_load_speedup_vs_text", load_speedup);
+
+    let [engine_2, campaign_2, sweep_2] =
+        ["warm", "campaign", "scale_sweep"].map(|what| record_speedups(&rec, &counts, what));
+
+    // The one report: the recorder snapshot, to disk as stable
+    // `detour-obs-v1` JSON and to stderr as a table.
     let report = rec.snapshot();
-    if let Some(dir) = Path::new(OBS_REPORT_PATH).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    std::fs::write(OBS_REPORT_PATH, report.to_json()).expect("write obs report");
-    eprintln!("baseline: wrote {OBS_REPORT_PATH}");
+    std::fs::write(&out_path, report.to_json()).expect("write baseline report");
+    eprintln!("baseline: wrote {out_path}");
     eprint!("{}", report.to_table());
 
     // Gate 3. Byte identity already enforced above; on a real multi-core
@@ -600,26 +491,15 @@ fn main() {
     // and the campaign alone — embarrassingly parallel over requests —
     // must too, as must the batched sweep on the scale workload.
     if cores > 1 {
-        if let Some(s) = two_thread_speedup {
-            if s < 1.2 {
-                eprintln!("baseline: FAIL — 2-worker speedup {s:.2} < 1.2 on {cores} cores");
-                std::process::exit(1);
-            }
-        }
-        if let Some(s) = campaign_2thread_speedup {
-            if s < 1.3 {
-                eprintln!(
-                    "baseline: FAIL — 2-worker campaign speedup {s:.2} < 1.3 on {cores} cores"
-                );
-                std::process::exit(1);
-            }
-        }
-        if let Some(s) = sweep_2thread_speedup {
-            if s < 1.3 {
-                eprintln!(
-                    "baseline: FAIL — 2-worker scale_sweep speedup {s:.2} < 1.3 on {cores} cores"
-                );
-                std::process::exit(1);
+        for (what, speedup, min) in [
+            ("", engine_2, 1.2),
+            (" campaign", campaign_2, 1.3),
+            (" scale_sweep", sweep_2, 1.3),
+        ] {
+            if let Some(s) = speedup.filter(|&s| s < min) {
+                fail(&format!(
+                    "2-worker{what} speedup {s:.2} < {min} on {cores} cores"
+                ));
             }
         }
     }
@@ -629,17 +509,17 @@ fn main() {
     // source plus a minority of fix-up re-searches vs. one full Dijkstra
     // per pair.
     if sweep_algo_speedup < 3.0 {
-        eprintln!(
-            "baseline: FAIL — scale_sweep batched/reference speedup {sweep_algo_speedup:.2} < 3.0"
-        );
-        std::process::exit(1);
+        fail(&format!(
+            "scale_sweep batched/reference speedup {sweep_algo_speedup:.2} < 3.0"
+        ));
     }
 
     // Gate 5, unconditional: the warm `.trace2` decode must beat the text
     // parser by an algorithmic margin — fixed-stride column reads vs.
     // per-line float parsing, on the identical dataset.
     if load_speedup < 3.0 {
-        eprintln!("baseline: FAIL — scale_sweep binary/text load speedup {load_speedup:.2} < 3.0");
-        std::process::exit(1);
+        fail(&format!(
+            "scale_sweep binary/text load speedup {load_speedup:.2} < 3.0"
+        ));
     }
 }
