@@ -421,11 +421,6 @@ impl OutageSchedule {
         self.episodes.len()
     }
 
-    /// Total down time, seconds.
-    pub fn total_down_s(&self) -> f64 {
-        self.episodes.iter().map(|(s, e)| e - s).sum()
-    }
-
     /// The raw episodes (for serialization/diagnostics).
     pub fn episodes(&self) -> &[(f64, f64)] {
         &self.episodes

@@ -76,11 +76,6 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|e| (SimTime(e.time), e.payload))
     }
 
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| SimTime(e.time))
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -114,16 +109,6 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut q = EventQueue::new();
-        q.push(SimTime(9.0), ());
-        q.push(SimTime(4.0), ());
-        assert_eq!(q.peek_time(), Some(SimTime(4.0)));
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime(4.0));
     }
 
     #[test]

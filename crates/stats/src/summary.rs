@@ -72,11 +72,6 @@ impl OnlineStats {
         self.variance().map(f64::sqrt)
     }
 
-    /// Standard error of the mean, `s / sqrt(n)`.
-    pub fn std_error(&self) -> Option<f64> {
-        self.std_dev().map(|s| s / (self.n as f64).sqrt())
-    }
-
     /// Smallest observation seen.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -155,11 +150,6 @@ impl Summary {
     /// Sample standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance.sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        self.std_dev() / (self.n as f64).sqrt()
     }
 }
 
@@ -242,13 +232,5 @@ mod tests {
         let mut empty = OnlineStats::new();
         empty.merge(&before);
         assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn std_error_shrinks_with_n() {
-        let few = Summary::from_slice(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        let many: Vec<f64> = [1.0, 2.0, 3.0, 4.0].repeat(25);
-        let many = Summary::from_slice(&many).unwrap();
-        assert!(many.std_error() < few.std_error());
     }
 }
