@@ -11,8 +11,8 @@
 //! * the Figure-12 greedy host removal — masked matrix views against
 //!   clone-plus-`without_host`-rebuild per candidate.
 //!
-//! JSON lines go wherever `DETOUR_BENCH_JSON` points, via the in-tree
-//! harness.
+//! Results print as the in-tree harness's table and land as spans on the
+//! current `detour-obs` recorder.
 
 use detour_bench::{reference, Bench};
 use detour_core::analysis::cdf::compare_graph;

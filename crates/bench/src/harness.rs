@@ -9,15 +9,10 @@
 //! The harness is silent while it runs: each result lands in the result
 //! list (and, as a span named after the benchmark, on the current
 //! `detour-obs` recorder); [`Bench::finish`] renders the aligned table for
-//! the caller to print. Results can also be written as JSON lines (one
-//! object per benchmark) for machine consumption.
+//! the caller to print.
 //!
-//! Environment knobs:
-//!
-//! * `DETOUR_BENCH_SAMPLES` — overrides every `sample_size` (for quick
-//!   smoke runs: `DETOUR_BENCH_SAMPLES=3 cargo bench`);
-//! * `DETOUR_BENCH_JSON` — a path; [`Bench::finish`] appends JSON lines
-//!   to it.
+//! `DETOUR_BENCH_SAMPLES` overrides every `sample_size` (for quick smoke
+//! runs: `DETOUR_BENCH_SAMPLES=3 cargo bench`).
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -52,19 +47,6 @@ impl BenchResult {
             fmt_ns(self.max_ns),
             self.samples,
         )
-    }
-
-    /// One JSON object on a single line, no trailing newline.
-    pub fn to_json_line(&self) -> String {
-        let mut s = String::new();
-        // Hand-rolled: names are ASCII identifiers and slashes, no escaping
-        // needed beyond what we put in them ourselves.
-        let _ = write!(
-            s,
-            "{{\"name\":\"{}\",\"samples\":{},\"batch\":{},\"median_ns\":{:.1},\"min_ns\":{:.1},\"max_ns\":{:.1}}}",
-            self.name, self.samples, self.batch, self.median_ns, self.min_ns, self.max_ns
-        );
-        s
     }
 }
 
@@ -163,20 +145,9 @@ impl Bench {
         &self.results
     }
 
-    /// The results as JSON lines (trailing newline included).
-    pub fn to_json_lines(&self) -> String {
-        let mut s = String::new();
-        for r in &self.results {
-            s.push_str(&r.to_json_line());
-            s.push('\n');
-        }
-        s
-    }
-
-    /// Renders the result table plus a closing summary and, when
-    /// `DETOUR_BENCH_JSON` names a path, appends the JSON lines there.
-    /// Call once at the end of `main` and print the returned report (the
-    /// harness itself never writes to stdout/stderr).
+    /// Renders the result table plus a closing summary. Call once at the
+    /// end of `main` and print the returned report (the harness itself
+    /// never writes to stdout/stderr).
     #[must_use = "the rendered report is the only copy of the results table"]
     pub fn finish(&self) -> String {
         let mut out = String::new();
@@ -185,22 +156,6 @@ impl Bench {
             out.push('\n');
         }
         let _ = writeln!(out, "bench: {} benchmarks complete", self.results.len());
-        if let Ok(path) = std::env::var("DETOUR_BENCH_JSON") {
-            use std::io::Write;
-            match std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-            {
-                Ok(mut f) => {
-                    let _ = f.write_all(self.to_json_lines().as_bytes());
-                    let _ = writeln!(out, "bench: results appended to {path}");
-                }
-                Err(e) => {
-                    let _ = writeln!(out, "bench: cannot write {path}: {e}");
-                }
-            }
-        }
         out
     }
 }
@@ -225,22 +180,6 @@ mod tests {
         assert!(r.min_ns <= r.median_ns && r.median_ns <= r.max_ns);
         assert!(r.median_ns > 0.0);
         assert!(r.batch >= 1);
-    }
-
-    #[test]
-    fn json_line_is_wellformed() {
-        let r = BenchResult {
-            name: "a/b".into(),
-            samples: 3,
-            batch: 7,
-            median_ns: 1234.5,
-            min_ns: 1000.0,
-            max_ns: 2000.0,
-        };
-        let j = r.to_json_line();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"name\":\"a/b\""));
-        assert!(j.contains("\"median_ns\":1234.5"));
     }
 
     #[test]
