@@ -6,7 +6,10 @@
 //! across thread counts, cache states, and refactors. `outage_sweep` is in
 //! the set deliberately: it pins the fault-injection replay (schedules,
 //! degraded-report flags, starved-pair accounting), not just the benign
-//! paper path.
+//! paper path. The four study-based extras (`asymmetry`, `prevalence`,
+//! `independence`, `sensitivity`) are in it too, dispatched as `figures`
+//! dispatches them; `ablation` and `overlay` simulate their own networks
+//! and are checked against `results/` by the benchmark instead.
 //!
 //! To regenerate after an intentional output change:
 //!
@@ -20,14 +23,14 @@
 use std::path::PathBuf;
 
 use detour::datasets::Scale;
-use detour_bench::experiments;
-use detour_bench::{Bundle, Study};
+use detour_bench::{experiments, extras, Bundle, Study};
 
 /// The snapshotted experiments: one cheap table, one headline figure, the
 /// fault sweep, and one report per per-pair field the analyses read —
 /// bandwidth/transfer summaries (`fig4`), raw RTT samples (`fig6`),
 /// time-of-day slices (`fig9`), episode slices (`fig11`), modal AS paths
-/// (`fig14`) and the samples' 10th percentile (`fig15`).
+/// (`fig14`) and the samples' 10th percentile (`fig15`), plus the
+/// study-based extras.
 const GOLDEN: &[&str] = &[
     "table1",
     "fig1",
@@ -38,6 +41,10 @@ const GOLDEN: &[&str] = &[
     "fig11",
     "fig14",
     "fig15",
+    "asymmetry",
+    "prevalence",
+    "independence",
+    "sensitivity",
 ];
 
 fn golden_path(id: &str) -> PathBuf {
@@ -51,8 +58,9 @@ fn reports_match_committed_golden_snapshots() {
     let bless = std::env::var_os("DETOUR_BLESS").is_some();
     let study = Study::from_bundle(Bundle::generate(Scale::reduced(8, 24)));
     for id in GOLDEN {
-        let report =
-            experiments::run(id, &study).unwrap_or_else(|| panic!("{id} not in the registry"));
+        let report = extras::run(id, &study)
+            .or_else(|| experiments::run(id, &study))
+            .unwrap_or_else(|| panic!("{id} not in the registry"));
         let path = golden_path(id);
         if bless {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
