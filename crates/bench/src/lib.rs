@@ -1,7 +1,9 @@
 //! # detour-bench
 //!
 //! The benchmark crate: regenerates every table and figure of the paper
-//! (the `figures` binary) and hosts the in-tree performance benches.
+//! (the `figures` binary) and gates the analysis engine's parallelism and
+//! kernels against retained reference implementations (the `baseline`
+//! binary).
 //!
 //! * [`bundle`] — generates the eight Table-1 datasets, sharing simulations
 //!   between siblings (D2/D2-NA, N2/N2-NA, UW4-A/UW4-B);
@@ -17,14 +19,11 @@
 //!   request-ordered (byte-identical) report merging;
 //! * [`extras`] — beyond-the-paper experiments: Paxson-phenomenon checks,
 //!   the routing-policy ablation, and the overlay evaluation;
-//! * [`harness`] — the dependency-free micro-benchmark harness the
-//!   `benches/` binaries and the `baseline` binary run on (warm-up,
-//!   batched median-of-N timing, JSON-lines output);
-//! * [`reference`] — the pre-kernel edge-walk search, the clone-rebuild
+//! * [`mod@reference`] — the pre-kernel edge-walk search, the clone-rebuild
 //!   greedy loop, the rebuild-per-experiment engine, and the per-pair
-//!   Dijkstra sweep, preserved so the benches and equivalence tests can
-//!   measure the shared-artifact engine and the source-batched kernel
-//!   against the exact behaviour they replaced;
+//!   Dijkstra sweep, preserved so the `baseline` gates and equivalence
+//!   tests can measure the shared-artifact engine and the source-batched
+//!   kernel against the exact behaviour they replaced;
 //! * [`scale`] — the 128-host `scale_sweep` workload: a dataset big enough
 //!   for kernel speedups to show, generated once through the trace cache.
 
@@ -36,7 +35,6 @@ pub mod bundle;
 pub mod cache;
 pub mod experiments;
 pub mod extras;
-pub mod harness;
 pub mod reference;
 pub mod render;
 pub mod scale;
@@ -44,5 +42,4 @@ pub mod study;
 
 pub use bundle::Bundle;
 pub use experiments::{Experiment, Need};
-pub use harness::Bench;
 pub use study::{DataKey, Study};

@@ -251,11 +251,6 @@ impl Stopwatch {
     pub fn seconds(&self) -> f64 {
         self.start.elapsed().as_secs_f64()
     }
-
-    /// Nanoseconds since [`Stopwatch::start`].
-    pub fn nanos(&self) -> u128 {
-        self.start.elapsed().as_nanos()
-    }
 }
 
 // ---------------------------------------------------------------------------
