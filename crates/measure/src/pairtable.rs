@@ -168,7 +168,7 @@ impl PairTable {
     /// slice probe datasets).
     ///
     /// Probes and transfers are first grouped by cell with a stable
-    /// counting sort ([`group_by_cell`]); each cell is then finished in
+    /// counting sort (`group_by_cell`); each cell is then finished in
     /// one go, in cell order, straight into the columns and the shared
     /// RTT-sample blob. No per-cell accumulator or map is allocated: the
     /// build's scratch is the two grouped index lists with their cell

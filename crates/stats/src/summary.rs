@@ -67,11 +67,6 @@ impl OnlineStats {
         (self.n > 1).then(|| self.m2 / (self.n - 1) as f64)
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
     /// Smallest observation seen.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -145,11 +140,6 @@ impl Summary {
             acc.push(x);
         }
         acc.summary()
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
     }
 }
 

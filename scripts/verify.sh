@@ -12,8 +12,9 @@
 # disk.
 #
 # Usage: scripts/verify.sh [--smoke]
-#   --smoke   stop after the smoke tier (fmt, lint, build, batched-kernel
-#             equivalence, chaos + golden suites) — the fast early signal;
+#   --smoke   stop after the smoke tier (fmt, lint, rustdoc, build,
+#             batched-kernel equivalence, chaos + golden suites) — the
+#             fast early signal;
 #             skips the full test run and the baseline
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,6 +32,11 @@ cargo fmt --check
 
 echo "== cargo clippy --offline (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+# Dangling or private intra-doc links fail here, e.g. a link left behind
+# when the item it names is deleted.
+echo "== cargo doc --offline (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace --all-targets
