@@ -206,7 +206,7 @@ impl Network {
         &self.resolver
     }
 
-    /// The load model (read-only; used by ablation benches).
+    /// The load model (read-only; the TCP model reads link utilization from it).
     pub fn load(&self) -> &LoadModel {
         &self.load
     }
