@@ -26,8 +26,8 @@ use std::fs;
 use std::path::Path;
 use std::process::exit;
 
-use detour_bench::experiments::{self, run_all, ALL_EXPERIMENTS, FAULT_EXPERIMENTS};
-use detour_bench::extras::{self, EXTRA_EXPERIMENTS};
+use detour_bench::experiments::{run_all, ALL_EXPERIMENTS, FAULT_EXPERIMENTS};
+use detour_bench::extras::EXTRA_EXPERIMENTS;
 use detour_bench::{cache, Bundle, Study};
 use detour_core::pool;
 use detour_datasets::Scale;
@@ -55,30 +55,23 @@ fn main() {
     let fresh = args.iter().any(|a| a == "--fresh");
     pool::set_threads(threads as usize);
 
+    // Every known id, in the order `all` runs them; also the validation list.
+    let mut all = ALL_EXPERIMENTS.to_vec();
+    all.extend(EXTRA_EXPERIMENTS);
+    all.extend(FAULT_EXPERIMENTS);
     let ids: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
         .collect();
-    let ids: Vec<&str> = if ids.is_empty() || ids.contains(&"all") {
-        let mut v = ALL_EXPERIMENTS.to_vec();
-        v.extend(EXTRA_EXPERIMENTS);
-        v.extend(FAULT_EXPERIMENTS);
-        v
+    let ids = if ids.is_empty() || ids.contains(&"all") {
+        all.clone()
     } else {
         ids
     };
-
-    for id in &ids {
-        if !ALL_EXPERIMENTS.contains(id)
-            && !EXTRA_EXPERIMENTS.contains(id)
-            && !FAULT_EXPERIMENTS.contains(id)
-        {
-            eprintln!(
-                "unknown experiment {id:?}; known: {ALL_EXPERIMENTS:?} + {EXTRA_EXPERIMENTS:?} + {FAULT_EXPERIMENTS:?}"
-            );
-            exit(2);
-        }
+    if let Some(id) = ids.iter().find(|id| !all.contains(id)) {
+        eprintln!("unknown experiment {id:?}; known: {all:?}");
+        exit(2);
     }
 
     let cache_dir = Path::new("results/cache");
@@ -115,37 +108,14 @@ fn main() {
     );
     let study = Study::from_bundle(bundle);
 
-    // The paper experiments run through the parallel engine (prebuilt
-    // shared artifacts, request-ordered reports); extras run inline after.
-    let paper_ids: Vec<&str> = ids
-        .iter()
-        .copied()
-        .filter(|id| ALL_EXPERIMENTS.contains(id))
-        .collect();
-    let (paper_reports, engine_secs) = rec.time("figures/engine", || run_all(&study, &paper_ids));
-    eprintln!(
-        "[{} paper experiment(s) done in {engine_secs:.1}s]",
-        paper_ids.len(),
-    );
+    // Every id runs through the parallel engine: shared artifacts build on
+    // first use, and reports come back in request order.
+    let (reports, engine_secs) = rec.time("figures/engine", || run_all(&study, &ids));
+    eprintln!("[{} experiment(s) done in {engine_secs:.1}s]", ids.len());
 
     let results = Path::new("results");
     fs::create_dir_all(results).expect("create results/");
-    let mut paper_iter = paper_ids.iter().zip(paper_reports);
-    for id in ids {
-        let report = if ALL_EXPERIMENTS.contains(&id) {
-            paper_iter.next().expect("engine report per paper id").1
-        } else {
-            // Extras and the fault experiments run inline after the engine
-            // batch (the fault sweeps generate their own datasets and touch
-            // no shared study artifact).
-            let (r, secs) = rec.time("figures/extra", || {
-                extras::run(id, &study)
-                    .or_else(|| experiments::run(id, &study))
-                    .expect("id validated above")
-            });
-            eprintln!("[{id} done in {secs:.1}s]");
-            r
-        };
+    for (id, report) in ids.iter().zip(reports) {
         println!("{report}");
         fs::write(results.join(format!("{id}.txt")), &report).expect("write results file");
     }

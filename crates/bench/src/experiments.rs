@@ -1,14 +1,14 @@
-//! The declarative experiment registry.
+//! The paper experiments and the engine that runs them.
 //!
-//! Each paper artifact is one [`Experiment`]: an id, the derived artifacts
-//! it needs (stated as [`Need`]s over the [`DataKey`]/[`MetricKind`]
-//! vocabulary), and a run function over the shared [`Study`]. The engine
-//! ([`run_all`]) resolves the union of the requested experiments' needs,
-//! prebuilds those artifacts in parallel, then fans the experiments out
-//! concurrently — each borrowing the same [`detour_core::AnalysisContext`]s
-//! — and merges reports in request order, so the output is byte-identical
-//! at every thread count (and to the rebuild-per-experiment reference
-//! engine in [`crate::reference`]).
+//! Each paper artifact is one report function over the shared [`Study`];
+//! [`run`] dispatches an id to it (falling through to [`crate::extras`]
+//! for the beyond-the-paper ids), so one call covers every `figures` id.
+//! The engine ([`run_all`]) fans the requested experiments out
+//! concurrently — each borrowing the same [`detour_core::AnalysisContext`]s,
+//! whose `OnceLock`ed matrices build on first use, exactly once, from
+//! whichever experiment touches them first — and merges reports in request
+//! order, so the output is byte-identical at every thread count (and to
+//! the rebuild-per-experiment reference engine in [`crate::reference`]).
 //!
 //! Each report places the paper's published expectation beside the
 //! measured value. The absolute numbers live on a simulated Internet and
@@ -19,181 +19,14 @@
 use detour_core::analysis::{
     aspop, cdf, confidence, contribution, episodes, hostremoval, median, propagation, timeofday,
 };
-use detour_core::{
-    pool, AnalysisContext, ArtifactKind, Loss, LossComposition, Metric, MetricKind, Rtt,
-    SearchDepth,
-};
+use detour_core::{pool, AnalysisContext, Loss, LossComposition, Metric, Rtt, SearchDepth};
 use detour_stats::ttest::VerdictCounts;
 
 use crate::render::{cdf_grid, check, header, pct};
 use crate::study::{DataKey, Study};
 
-/// One derived artifact an experiment consumes, in registry declarations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Need {
-    /// The weight matrix of a metric family on a dataset.
-    Weights(DataKey, MetricKind),
-    /// The one-hop bandwidth matrix of a dataset.
-    Bandwidth(DataKey),
-}
-
-impl Need {
-    /// Builds the named artifact in the study (idempotent).
-    pub fn build(&self, study: &Study) {
-        match *self {
-            Need::Weights(key, kind) => study.ctx(key).ensure(ArtifactKind::Weights(kind)),
-            Need::Bandwidth(key) => study.ctx(key).ensure(ArtifactKind::Bandwidth),
-        }
-    }
-}
-
-/// One registered paper artifact.
-pub struct Experiment {
-    /// Identifier ("fig1", "table2", …).
-    pub id: &'static str,
-    /// The derived artifacts the run function touches. The engine
-    /// prebuilds these; anything touched but not declared still works (the
-    /// context builds it lazily) but serializes behind the experiment.
-    pub needs: &'static [Need],
-    /// The report generator.
-    pub run: fn(&Study) -> String,
-}
-
 /// The four datasets of the headline RTT/loss figures, in legend order.
 const HEADLINE: [DataKey; 4] = [DataKey::Uw1, DataKey::Uw3, DataKey::D2Na, DataKey::D2];
-
-const HEADLINE_RTT: &[Need] = &[
-    Need::Weights(DataKey::Uw1, MetricKind::Rtt),
-    Need::Weights(DataKey::Uw3, MetricKind::Rtt),
-    Need::Weights(DataKey::D2Na, MetricKind::Rtt),
-    Need::Weights(DataKey::D2, MetricKind::Rtt),
-];
-
-const HEADLINE_LOSS: &[Need] = &[
-    Need::Weights(DataKey::Uw1, MetricKind::Loss),
-    Need::Weights(DataKey::Uw3, MetricKind::Loss),
-    Need::Weights(DataKey::D2Na, MetricKind::Loss),
-    Need::Weights(DataKey::D2, MetricKind::Loss),
-];
-
-const BANDWIDTH_N2: &[Need] = &[Need::Bandwidth(DataKey::N2), Need::Bandwidth(DataKey::N2Na)];
-
-const UW3_RTT: &[Need] = &[Need::Weights(DataKey::Uw3, MetricKind::Rtt)];
-
-/// Every registered experiment: the paper artifacts in paper order,
-/// followed by the fault-injection experiments (which are in the registry
-/// so `figures` can dispatch them, but outside [`ALL_EXPERIMENTS`] so the
-/// perf baseline measures only the paper set).
-pub const REGISTRY: &[Experiment] = &[
-    Experiment {
-        id: "table1",
-        needs: &[],
-        run: table1,
-    },
-    Experiment {
-        id: "fig1",
-        needs: HEADLINE_RTT,
-        run: fig1,
-    },
-    Experiment {
-        id: "fig2",
-        needs: HEADLINE_RTT,
-        run: fig2,
-    },
-    Experiment {
-        id: "fig3",
-        needs: HEADLINE_LOSS,
-        run: fig3,
-    },
-    Experiment {
-        id: "fig4",
-        needs: BANDWIDTH_N2,
-        run: fig4,
-    },
-    Experiment {
-        id: "fig5",
-        needs: BANDWIDTH_N2,
-        run: fig5,
-    },
-    Experiment {
-        id: "fig6",
-        needs: &[Need::Weights(DataKey::D2Na, MetricKind::Rtt)],
-        run: fig6,
-    },
-    Experiment {
-        id: "fig7",
-        needs: UW3_RTT,
-        run: fig7,
-    },
-    Experiment {
-        id: "fig8",
-        needs: &[Need::Weights(DataKey::Uw3, MetricKind::Loss)],
-        run: fig8,
-    },
-    Experiment {
-        id: "table2",
-        needs: HEADLINE_RTT,
-        run: table2,
-    },
-    Experiment {
-        id: "table3",
-        needs: HEADLINE_LOSS,
-        run: table3,
-    },
-    // Figures 9-10 slice the dataset by time of day and build throwaway
-    // per-slice tables; they use no whole-dataset artifacts.
-    Experiment {
-        id: "fig9",
-        needs: &[],
-        run: fig9,
-    },
-    Experiment {
-        id: "fig10",
-        needs: &[],
-        run: fig10,
-    },
-    Experiment {
-        id: "fig11",
-        needs: &[Need::Weights(DataKey::Uw4B, MetricKind::Rtt)],
-        run: fig11,
-    },
-    Experiment {
-        id: "fig12",
-        needs: UW3_RTT,
-        run: fig12,
-    },
-    Experiment {
-        id: "fig13",
-        needs: UW3_RTT,
-        run: fig13,
-    },
-    Experiment {
-        id: "fig14",
-        needs: &[Need::Weights(DataKey::Uw1, MetricKind::Rtt)],
-        run: fig14,
-    },
-    Experiment {
-        id: "fig15",
-        needs: &[
-            Need::Weights(DataKey::Uw3, MetricKind::PropDelay),
-            Need::Weights(DataKey::Uw3, MetricKind::Rtt),
-        ],
-        run: fig15,
-    },
-    Experiment {
-        id: "fig16",
-        needs: UW3_RTT,
-        run: fig16,
-    },
-    // Self-contained: generates its own tiny faulted datasets, touching no
-    // study artifact — so it declares no needs and can run after the
-    // engine batch without serializing behind it.
-    Experiment {
-        id: "outage_sweep",
-        needs: &[],
-        run: outage_sweep,
-    },
-];
 
 /// All experiment identifiers, in paper order.
 pub const ALL_EXPERIMENTS: &[&str] = &[
@@ -201,55 +34,47 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 ];
 
-/// The fault-injection experiments (DESIGN.md §6e). Registered like the
+/// The fault-injection experiments (DESIGN.md §6e). Dispatched like the
 /// paper set but listed separately: `figures` runs them, the `baseline`
 /// perf gates do not (their cost is dataset generation, which is constant
 /// across engine thread counts and would dilute the speedup gates).
 pub const FAULT_EXPERIMENTS: &[&str] = &["outage_sweep"];
 
-/// Looks an experiment up by id.
-pub fn find(id: &str) -> Option<&'static Experiment> {
-    REGISTRY.iter().find(|e| e.id == id)
-}
-
-/// Dispatches one experiment by id.
+/// Dispatches one experiment by id: the paper set, the fault sweep, then
+/// [`crate::extras::run`] for everything else. `None` for an unknown id.
 pub fn run(id: &str, study: &Study) -> Option<String> {
-    find(id).map(|e| (e.run)(study))
+    Some(match id {
+        "table1" => table1(study),
+        "fig1" => fig1(study),
+        "fig2" => fig2(study),
+        "fig3" => fig3(study),
+        "fig4" => fig4(study),
+        "fig5" => fig5(study),
+        "fig6" => fig6(study),
+        "fig7" => fig7(study),
+        "fig8" => fig8(study),
+        "table2" => table2(study),
+        "table3" => table3(study),
+        "fig9" => fig9(study),
+        "fig10" => fig10(study),
+        "fig11" => fig11(study),
+        "fig12" => fig12(study),
+        "fig13" => fig13(study),
+        "fig14" => fig14(study),
+        "fig15" => fig15(study),
+        "fig16" => fig16(study),
+        "outage_sweep" => outage_sweep(study),
+        _ => return crate::extras::run(id, study),
+    })
 }
 
-/// The union of the named experiments' needs, first-use ordered and
-/// deduplicated. Unknown ids contribute nothing.
-pub fn resolve_needs(ids: &[&str]) -> Vec<Need> {
-    let mut union: Vec<Need> = Vec::new();
-    for id in ids {
-        for need in find(id).map_or(&[][..], |e| e.needs) {
-            if !union.contains(need) {
-                union.push(*need);
-            }
-        }
-    }
-    union
-}
-
-/// Builds every artifact in `needs` on the pool, under an
-/// `engine/prebuild` span. Artifacts are independent, and `OnceLock`
-/// makes each build idempotent, so order does not matter; afterwards,
-/// experiments only ever *read* the caches.
-pub fn prebuild(study: &Study, needs: &[Need]) {
-    let _span = detour_obs::current().span("engine/prebuild");
-    pool::parallel_map(needs, |need| need.build(study));
-}
-
-/// The parallel experiment engine: prebuilds the union of artifact needs,
-/// runs the named experiments concurrently over the shared study (under
-/// an `engine/experiments` span), and returns their reports in request
-/// order.
+/// The parallel experiment engine: runs the named experiments concurrently
+/// over the shared study (under an `engine/experiments` span) and returns
+/// their reports in request order.
 ///
 /// # Panics
-/// On an unknown experiment id (callers validate ids against
-/// [`ALL_EXPERIMENTS`] first).
+/// On an unknown experiment id (callers validate ids first).
 pub fn run_all(study: &Study, ids: &[&str]) -> Vec<String> {
-    prebuild(study, &resolve_needs(ids));
     let _span = detour_obs::current().span("engine/experiments");
     pool::parallel_map(ids, |id| {
         run(id, study).unwrap_or_else(|| panic!("unknown experiment {id:?}"))
@@ -909,17 +734,6 @@ mod tests {
     use detour_datasets::Scale;
 
     #[test]
-    fn registry_matches_id_list_in_order() {
-        let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
-        let expected: Vec<&str> = ALL_EXPERIMENTS
-            .iter()
-            .chain(FAULT_EXPERIMENTS)
-            .copied()
-            .collect();
-        assert_eq!(ids, expected);
-    }
-
-    #[test]
     fn every_experiment_runs_on_a_reduced_study() {
         let s = Study::from_bundle(Bundle::generate(Scale::reduced(8, 24)));
         for id in ALL_EXPERIMENTS {
@@ -935,20 +749,6 @@ mod tests {
     fn unknown_ids_return_none() {
         let s = Study::from_bundle(Bundle::generate(Scale::reduced(8, 24)));
         assert!(run("fig99", &s).is_none());
-    }
-
-    #[test]
-    fn needs_union_dedups_in_first_use_order() {
-        let needs = resolve_needs(&["fig1", "fig2", "fig12", "nonsense"]);
-        assert_eq!(
-            needs,
-            vec![
-                Need::Weights(DataKey::Uw1, MetricKind::Rtt),
-                Need::Weights(DataKey::Uw3, MetricKind::Rtt),
-                Need::Weights(DataKey::D2Na, MetricKind::Rtt),
-                Need::Weights(DataKey::D2, MetricKind::Rtt),
-            ]
-        );
     }
 
     /// Sum of every `context/*_builds` counter — the old scalar
@@ -967,7 +767,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_prebuilds_exactly_the_declared_artifacts() {
+    fn engine_builds_each_touched_artifact_once() {
         let rec = detour_obs::Recorder::new();
         let _obs = detour_obs::install(rec.clone());
         let s = Study::from_bundle(Bundle::generate(Scale::reduced(8, 24)));
@@ -976,7 +776,8 @@ mod tests {
         assert_eq!(total_builds(&rec), 8);
         let reports = run_all(&s, &["fig1", "fig2"]);
         assert_eq!(reports.len(), 2);
-        // fig1 + fig2 share the same four RTT matrices; nothing builds twice.
+        // fig1 + fig2 share the same four RTT matrices, built on first use by
+        // whichever experiment gets there first; nothing builds twice.
         assert_eq!(rec.counter("context/weights_rtt_builds"), 4);
         assert_eq!(total_builds(&rec), 12);
         run_all(&s, &["fig1"]);

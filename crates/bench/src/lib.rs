@@ -13,9 +13,9 @@
 //! * [`study`] — one shared `AnalysisContext` per dataset: pair tables
 //!   and weight matrices build once and every experiment borrows them;
 //! * [`render`] — plain-text rendering of CDFs, tables, and scatters;
-//! * [`experiments`] — the declarative registry: one [`Experiment`] per
-//!   paper artifact stating the derived artifacts it needs; the engine
-//!   prebuilds the union and fans experiments out in parallel with
+//! * [`experiments`] — one report function per paper artifact behind a
+//!   single dispatcher that also covers the extras; the engine fans
+//!   experiments out in parallel (matrices build on first use, once) with
 //!   request-ordered (byte-identical) report merging;
 //! * [`extras`] — beyond-the-paper experiments: Paxson-phenomenon checks,
 //!   the routing-policy ablation, and the overlay evaluation;
@@ -41,5 +41,4 @@ pub mod scale;
 pub mod study;
 
 pub use bundle::Bundle;
-pub use experiments::{Experiment, Need};
 pub use study::{DataKey, Study};

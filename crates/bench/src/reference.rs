@@ -28,7 +28,7 @@ use crate::study::Study;
 /// engine's reports against this at every thread count.
 pub fn run_rebuild(id: &str, study: &Study) -> Option<String> {
     let fresh = study.rebuild_fresh();
-    crate::experiments::run(id, &fresh).or_else(|| crate::extras::run(id, &fresh))
+    crate::experiments::run(id, &fresh)
 }
 
 /// The pre-change unrestricted search: dense Dijkstra walking table edges

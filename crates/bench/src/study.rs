@@ -5,9 +5,7 @@
 //! contexts built from them — pair tables eagerly, weight matrices lazily
 //! on first use — so every experiment in a run
 //! borrows the same artifacts instead of rebuilding its own. Experiments
-//! address datasets by [`DataKey`], which is also the vocabulary the
-//! declarative registry ([`crate::experiments::Need`]) uses to state what
-//! each experiment touches.
+//! address datasets by [`DataKey`].
 
 use std::sync::Arc;
 
