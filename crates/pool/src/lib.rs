@@ -39,13 +39,11 @@
 //!   parallelizing both the per-dataset loop of an experiment and the
 //!   per-pair sweep inside it cannot multiply thread counts.
 
-//! * **Panic capture.** [`try_parallel_map`] / [`try_parallel_map_init`]
-//!   catch worker panics and surface them as a structured
-//!   [`WorkerPanic`] — which worker died, on which item index, with the
-//!   panic payload — instead of aborting the process. The infallible
-//!   variants delegate to them and re-panic with that context attached,
-//!   so existing call sites keep their semantics but lose the opaque
-//!   "pool worker panicked" message.
+//! * **Panic context.** A panicking closure (or `init`) is caught in the
+//!   worker and re-raised on the calling thread as one panic whose message
+//!   names the worker, the item index and the original payload, at every
+//!   worker count, instead of an opaque "pool worker panicked". Callers
+//!   that want to survive a panic wrap the call in `catch_unwind`.
 //! * **Observability propagation.** Every fan-out re-installs the
 //!   spawning thread's current `detour-obs` recorder inside each worker,
 //!   so a recorder scoped with `obs::install` observes work done by pool
@@ -62,34 +60,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A pool worker panicked while mapping an item. Carries enough context
-/// to report the fault without re-running: the worker's index, the input
-/// index it was processing, and the stringified panic payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerPanic {
-    /// Index of the worker thread that panicked (0-based; the sequential
-    /// fallback reports worker 0).
-    pub worker: usize,
-    /// Index into the input slice of the item being mapped when the
-    /// panic fired.
-    pub item: usize,
-    /// The panic payload, stringified (`&str`/`String` payloads verbatim,
-    /// anything else as a placeholder).
-    pub payload: String,
-}
-
-impl std::fmt::Display for WorkerPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "pool worker {} panicked on item {}: {}",
-            self.worker, self.item, self.payload
-        )
-    }
-}
-
-impl std::error::Error for WorkerPanic {}
-
 /// Stringifies a `catch_unwind` payload (panics carry `&str` or `String`
 /// in practice; anything else gets a placeholder).
 fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -100,6 +70,11 @@ fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "<non-string panic payload>".to_string()
     }
+}
+
+/// Re-raises a caught worker panic on the calling thread, with its context.
+fn worker_panic(worker: usize, item: usize, payload: String) -> ! {
+    panic!("pool worker {worker} panicked on item {item}: {payload}")
 }
 
 /// Requested thread count; 0 = auto (all available cores).
@@ -156,48 +131,24 @@ pub fn parallel_flat_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> Vec<R>
     out
 }
 
-/// Fallible variant of [`parallel_map`]: a panicking closure yields a
-/// structured [`WorkerPanic`] instead of aborting the process.
-pub fn try_parallel_map<T: Sync, R: Send>(
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> Result<Vec<R>, WorkerPanic> {
-    try_parallel_map_init(items, || (), |(), item| f(item))
-}
-
 /// Like [`parallel_map`], but each worker first builds one `init()` state
 /// and threads it mutably through every item it claims — scratch buffers
 /// live once per worker, not once per item. The sequential fallback uses a
 /// single state for all items, which is indistinguishable for any state
 /// that only caches capacity (the intended use).
+///
+/// # Panics
+/// When `init` or `f` panics, with `pool worker {w} panicked on item {i}:
+/// {payload}`. Already-claimed work on other workers completes and is
+/// discarded. For a deterministic `f`, the item and payload are stable
+/// across runs and thread counts; the worker is whichever thread claimed
+/// the poisoned chunk (0 on the sequential path). When several items
+/// panic, the lowest-indexed worker's panic wins.
 pub fn parallel_map_init<T: Sync, R: Send, S>(
     items: &[T],
     init: impl Fn() -> S + Sync,
     f: impl Fn(&mut S, &T) -> R + Sync,
 ) -> Vec<R> {
-    match try_parallel_map_init(items, init, f) {
-        Ok(out) => out,
-        // Preserve the infallible contract, but with the worker's own
-        // payload and position in the message instead of the former
-        // opaque "pool worker panicked".
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible variant of [`parallel_map_init`].
-///
-/// A panic inside `init` or `f` is caught and returned as a
-/// [`WorkerPanic`]; already-claimed work on other workers completes
-/// normally and is discarded. For a deterministic `f`, the reported
-/// `item` and `payload` are stable across runs and thread counts; the
-/// `worker` index is whichever thread happened to claim the poisoned
-/// chunk. When several items panic, the error from the lowest-indexed
-/// worker wins.
-pub fn try_parallel_map_init<T: Sync, R: Send, S>(
-    items: &[T],
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, &T) -> R + Sync,
-) -> Result<Vec<R>, WorkerPanic> {
     let rec = detour_obs::current();
     rec.add("pool/maps", 1);
     rec.add("pool/items", items.len() as u64);
@@ -215,11 +166,7 @@ pub fn try_parallel_map_init<T: Sync, R: Send, S>(
                 })
                 .collect()
         }))
-        .map_err(|p| WorkerPanic {
-            worker: 0,
-            item: current.get(),
-            payload: payload_string(p),
-        });
+        .unwrap_or_else(|p| worker_panic(0, current.get(), payload_string(p)));
     }
 
     // Chunk size: enough chunks for stealing to balance skewed costs, but
@@ -271,7 +218,7 @@ pub fn try_parallel_map_init<T: Sync, R: Send, S>(
         // the output is bit-identical to the sequential map no matter which
         // worker ran which chunk.
         let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        let mut first_panic: Option<WorkerPanic> = None;
+        let mut first_panic: Option<(usize, usize, String)> = None;
         for (w, h) in handles.into_iter().enumerate() {
             let joined = h.join().map_err(|p| (0usize, payload_string(p)));
             match joined {
@@ -284,22 +231,18 @@ pub fn try_parallel_map_init<T: Sync, R: Send, S>(
                 }
                 Ok(Err((item, payload))) | Err((item, payload)) => {
                     if first_panic.is_none() {
-                        first_panic = Some(WorkerPanic {
-                            worker: w,
-                            item,
-                            payload,
-                        });
+                        first_panic = Some((w, item, payload));
                     }
                 }
             }
         }
-        if let Some(e) = first_panic {
-            return Err(e);
+        if let Some((worker, item, payload)) = first_panic {
+            worker_panic(worker, item, payload);
         }
-        Ok(slots
+        slots
             .into_iter()
             .map(|s| s.expect("every index produced exactly one result"))
-            .collect())
+            .collect()
     })
 }
 
@@ -420,22 +363,32 @@ mod tests {
         set_threads(0);
     }
 
+    /// The message a caught pool panic carries.
+    fn panic_message(caught: Box<dyn std::any::Any + Send>) -> String {
+        caught.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
     #[test]
-    fn panicking_closure_yields_structured_error() {
+    fn panicking_closure_reports_item_and_payload() {
         let _guard = thread_budget_lock();
         for t in [1usize, 4] {
             set_threads(t);
             let items: Vec<u64> = (0..200).collect();
-            let err = try_parallel_map(&items, |&x| {
-                if x == 17 {
-                    panic!("boom on item {x}");
-                }
-                x * 2
+            let caught = std::panic::catch_unwind(|| {
+                parallel_map(&items, |&x| {
+                    if x == 17 {
+                        panic!("boom on item {x}");
+                    }
+                    x * 2
+                })
             })
-            .expect_err("the poisoned item must surface as an error");
-            assert_eq!(err.item, 17, "threads={t}");
-            assert_eq!(err.payload, "boom on item 17", "threads={t}");
-            assert!(err.to_string().contains("item 17"), "threads={t}: {err}");
+            .expect_err("the poisoned item must panic the map");
+            let msg = panic_message(caught);
+            assert!(msg.starts_with("pool worker "), "threads={t}: {msg}");
+            assert!(
+                msg.ends_with("panicked on item 17: boom on item 17"),
+                "threads={t}: {msg}"
+            );
         }
         set_threads(0);
     }
@@ -463,23 +416,16 @@ mod tests {
     }
 
     #[test]
-    fn panicking_init_is_captured() {
+    fn panicking_init_is_reported() {
         let _guard = thread_budget_lock();
         set_threads(4);
         let items: Vec<u32> = (0..100).collect();
-        let err = try_parallel_map_init(&items, || -> u32 { panic!("init exploded") }, |_, &x| x)
-            .expect_err("init panic must be captured");
-        assert_eq!(err.payload, "init exploded");
-        set_threads(0);
-    }
-
-    #[test]
-    fn try_map_matches_map_on_success() {
-        let _guard = thread_budget_lock();
-        set_threads(4);
-        let items: Vec<u64> = (0..300).collect();
-        let ok = try_parallel_map(&items, |&x| x.wrapping_mul(31)).unwrap();
-        assert_eq!(ok, parallel_map(&items, |&x| x.wrapping_mul(31)));
+        let caught = std::panic::catch_unwind(|| {
+            parallel_map_init(&items, || -> u32 { panic!("init exploded") }, |_, &x| x)
+        })
+        .expect_err("an init panic must panic the map");
+        let msg = panic_message(caught);
+        assert!(msg.ends_with(": init exploded"), "{msg}");
         set_threads(0);
     }
 
