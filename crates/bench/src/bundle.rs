@@ -92,11 +92,6 @@ impl Bundle {
         }))
     }
 
-    /// Full paper scale.
-    pub fn full() -> Bundle {
-        Bundle::generate(Scale::full())
-    }
-
     /// Table-1 ordering of the probe/transfer datasets.
     pub fn in_table_order(&self) -> [&Dataset; 8] {
         [

@@ -57,7 +57,7 @@ pub fn cache_path(dir: &Path, name: &str, scale: Scale) -> PathBuf {
 }
 
 /// What probing one cache key found.
-enum CacheProbe {
+pub(crate) enum CacheProbe {
     /// A healthy `.trace2` (binary) entry.
     Loaded(Dataset),
     /// No file (or unreadable): a plain miss.
@@ -69,7 +69,7 @@ enum CacheProbe {
 }
 
 /// Probes the cache for one dataset without touching it.
-fn probe_cached(dir: &Path, name: &str, scale: Scale) -> CacheProbe {
+pub(crate) fn probe_cached(dir: &Path, name: &str, scale: Scale) -> CacheProbe {
     let bin = cache_path(dir, name, scale);
     if !bin.exists() {
         return CacheProbe::Missing;
@@ -86,12 +86,6 @@ pub fn quarantined_path(original: &Path) -> PathBuf {
     let mut p = original.as_os_str().to_os_string();
     p.push(".quarantined");
     PathBuf::from(p)
-}
-
-/// The quarantine destination for the binary cache entry of one dataset:
-/// `{key}.trace2.quarantined`, next to the original.
-pub fn quarantine_path(dir: &Path, name: &str, scale: Scale) -> PathBuf {
-    quarantined_path(&cache_path(dir, name, scale))
 }
 
 impl Bundle {
@@ -193,6 +187,12 @@ mod tests {
             rec.counter("cache/quarantined"),
         );
         (bundle, stats)
+    }
+
+    /// The quarantine destination for the binary cache entry of one
+    /// dataset: `{key}.trace2.quarantined`, next to the original.
+    fn quarantine_path(dir: &Path, name: &str, scale: Scale) -> PathBuf {
+        quarantined_path(&cache_path(dir, name, scale))
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {

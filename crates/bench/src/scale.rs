@@ -26,7 +26,7 @@ use detour_measure::{CampaignConfig, Dataset, RateLimitPolicy, Schedule};
 use detour_netsim::topology::generator::TopologyConfig;
 use detour_netsim::{Era, Network, NetworkConfig};
 
-use crate::cache::{cache_path, quarantined_path};
+use crate::cache::{cache_path, probe_cached, quarantined_path, CacheProbe};
 
 /// Measurement hosts in the SCALE dataset (the gate requires ≥ 120).
 pub const SCALE_HOSTS: usize = 128;
@@ -92,24 +92,22 @@ pub fn load_or_generate(dir: &Path) -> std::io::Result<(Dataset, bool)> {
     let _load = rec.span("cache/load");
     let spec = scale_spec();
     let scale = scale_scale();
-    let path = cache_path(dir, spec.name, scale);
-    if path.exists() {
-        match trace2::load(&path) {
-            Ok(ds) if ds.name == spec.name => {
-                rec.add("cache/hits", 1);
-                return Ok((ds, true));
-            }
-            Ok(_) | Err(_) => {
-                rec.add("cache/quarantined", 1);
-                std::fs::rename(&path, quarantined_path(&path))?;
-            }
+    match probe_cached(dir, spec.name, scale) {
+        CacheProbe::Loaded(ds) => {
+            rec.add("cache/hits", 1);
+            return Ok((ds, true));
+        }
+        CacheProbe::Missing => {}
+        CacheProbe::Corrupt(path) => {
+            rec.add("cache/quarantined", 1);
+            std::fs::rename(&path, quarantined_path(&path))?;
         }
     }
     rec.add("cache/misses", 1);
     std::fs::create_dir_all(dir)?;
     let net = scale_network(&spec, scale);
     let ds = spec::generate_on(&net, &spec, scale);
-    trace2::save(&ds, &path)?;
+    trace2::save(&ds, &cache_path(dir, spec.name, scale))?;
     Ok((ds, false))
 }
 

@@ -74,12 +74,6 @@ impl DatasetId {
         }
     }
 
-    /// Generates at full paper scale (days of simulated measurement —
-    /// seconds to minutes of CPU).
-    pub fn generate_full(self) -> Dataset {
-        self.generate(Scale::full())
-    }
-
     /// Generates a reduced instance for tests, docs and examples.
     pub fn generate_scaled(self, n_hosts: usize, time_divisor: u32) -> Dataset {
         self.generate(Scale::reduced(n_hosts, time_divisor))

@@ -14,7 +14,7 @@ use detour::datasets::DatasetId;
 
 fn main() {
     // A reduced instance (20 hosts, 1/4 of the 7-day trace) generates in a
-    // couple of seconds; swap in `generate_full()` for paper scale.
+    // couple of seconds; `generate(Scale::full())` gives paper scale.
     println!("generating a reduced UW3 dataset over the simulated Internet...");
     let ds = DatasetId::Uw3.generate_scaled(20, 4);
     let c = ds.characteristics();
