@@ -254,8 +254,9 @@ mod tests {
     #[test]
     fn extra_experiments_run() {
         let s = Study::from_bundle(crate::Bundle::generate(Scale::reduced(8, 24)));
+        // Through the one dispatcher, so its fall-through to `run` is covered.
         for id in EXTRA_EXPERIMENTS {
-            let r = run(id, &s).unwrap_or_else(|| panic!("unknown {id}"));
+            let r = crate::experiments::run(id, &s).unwrap_or_else(|| panic!("unknown {id}"));
             assert!(r.len() > 60, "{id}:\n{r}");
         }
     }
