@@ -24,7 +24,7 @@
 //! it loads the eight datasets from the cache (eight hits; the datasets are
 //! byte-identical to generation because the `.trace2` round-trip is
 //! lossless), builds the [`Study`] of shared `AnalysisContext`s, and
-//! executes every paper experiment through the declarative engine
+//! executes every paper experiment through the parallel engine
 //! ([`run_all`]), timed whole (`baseline/warm/<w>`) and split per stage
 //! (`baseline/warm_{load,context,experiments}/<w>`). The run repeats
 //! at 1, 2, 4, and `available_parallelism` workers — except on a
@@ -487,7 +487,8 @@ fn main() {
 
     // Gate 3. Byte identity already enforced above; on a real multi-core
     // machine, two workers must beat one by a real margin end-to-end (the
-    // experiments fan out whole, and artifact prebuilding parallelizes),
+    // experiments fan out whole, each building the shared artifacts it
+    // touches first),
     // and the campaign alone — embarrassingly parallel over requests —
     // must too, as must the batched sweep on the scale workload.
     if cores > 1 {

@@ -29,9 +29,9 @@ use detour_measure::{Dataset, PairTable};
 use crate::kernel::{BandwidthMatrix, WeightMatrix};
 use crate::metric::{Metric, MetricKind};
 
-/// Names one derived artifact, for declarative prebuilding: the experiment
-/// registry states which artifacts an experiment touches, and the engine
-/// resolves the union before fanning experiments out.
+/// Names one lazily built artifact, so a caller can force it with
+/// [`AnalysisContext::ensure`] ahead of the analyses that would build it on
+/// first use (a benchmark timing matrix builds on their own, say).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArtifactKind {
     /// The additive weight matrix of a metric family.
@@ -132,7 +132,7 @@ impl AnalysisContext {
         })
     }
 
-    /// Forces an artifact into the cache (the engine's prebuild step).
+    /// Forces an artifact into the cache; a no-op once it is built.
     pub fn ensure(&self, kind: ArtifactKind) {
         match kind {
             ArtifactKind::Weights(MetricKind::Rtt) => {

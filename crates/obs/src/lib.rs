@@ -11,7 +11,7 @@
 //! a single substrate:
 //!
 //! * **[`Span`]s** — hierarchical wall-clock timings, named
-//!   `layer/operation` (e.g. `net/routing`, `engine/prebuild`). Spans with
+//!   `layer/operation` (e.g. `net/routing`, `engine/experiments`). Spans with
 //!   the same name *merge*: their durations sum and their activations
 //!   count, across threads, so per-worker timings aggregate into one row.
 //! * **[`Recorder::add`] counters** — named monotonic event counts
