@@ -218,8 +218,7 @@ pub fn parallel_map_init<T: Sync, R: Send, S>(
         // the output is bit-identical to the sequential map no matter which
         // worker ran which chunk.
         let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        // Handles join in worker order, so the lowest-indexed worker's panic
-        // is the one re-raised; the scope still joins the rest.
+        let mut first_panic: Option<(usize, usize, String)> = None;
         for (w, h) in handles.into_iter().enumerate() {
             let joined = h.join().map_err(|p| (0usize, payload_string(p)));
             match joined {
@@ -230,8 +229,15 @@ pub fn parallel_map_init<T: Sync, R: Send, S>(
                         }
                     }
                 }
-                Ok(Err((item, payload))) | Err((item, payload)) => worker_panic(w, item, payload),
+                Ok(Err((item, payload))) | Err((item, payload)) => {
+                    if first_panic.is_none() {
+                        first_panic = Some((w, item, payload));
+                    }
+                }
             }
+        }
+        if let Some((worker, item, payload)) = first_panic {
+            worker_panic(worker, item, payload);
         }
         slots
             .into_iter()
