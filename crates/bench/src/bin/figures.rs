@@ -109,7 +109,11 @@ fn main() {
     let study = Study::from_bundle(bundle);
 
     // Every id runs through the parallel engine: shared artifacts build on
-    // first use, and reports come back in request order.
+    // first use, and reports come back in request order. An experiment's own
+    // fan-outs (ablation's routing, the outage campaigns) run sequentially
+    // inside its worker, since the pool does not nest; keeping every worker
+    // busy across the whole id list still finishes sooner on a 2-core host
+    // than running the extras one by one after the paper batch.
     let (reports, engine_secs) = rec.time("figures/engine", || run_all(&study, &ids));
     eprintln!("[{} experiment(s) done in {engine_secs:.1}s]", ids.len());
 
